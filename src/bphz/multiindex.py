@@ -314,7 +314,11 @@ def upsilon(couplings: Mapping[int, SymbolicValue | RationalLike], m: MultiIndex
 
 def degree(m: MultiIndex, p: DegreeParams) -> Scalar:
     """deg z^beta = (ell/2) * sum k*beta(k) + d * (|beta| - 1)."""
-    return p.ell / 2 * m.half_edges() + p.d * (m.norm() - 1)
+    return _degree(m.half_edges(), m.norm(), p)
+
+
+def _degree(half_edges: int, vertices: int, p: DegreeParams) -> Scalar:
+    return p.ell / 2 * half_edges + p.d * (vertices - 1)
 
 
 def is_divergent(m: MultiIndex, p: DegreeParams) -> bool:
@@ -492,24 +496,48 @@ def iter_monomials_within(max_half_edges: int, max_vertices: int) -> Iterator[Mu
     yield from recurse(1, max_half_edges, max_vertices, [])
 
 
-@lru_cache(maxsize=None)
-def extraction_candidates(
-    max_half_edges: int, max_vertices: int, p: DegreeParams
-) -> tuple[MultiIndex, ...]:
-    """Populatable non-positive-degree monomials with at least one edge.
+def extraction_candidates(m: MultiIndex, p: DegreeParams) -> tuple[MultiIndex, ...]:
+    """Populatable non-positive-degree monomials with at least one edge that fit m.
 
     These are the monomials allowed as components of the left leg of the
-    reduced coproduct.  The edge requirement (half-edge count >= 2) rules
-    out the lone arity-0 vertex, which pairs vacuously but corresponds to
-    no extractable subdiagram.
+    reduced coproduct of m.  The edge requirement (half-edge count >= 2)
+    rules out the lone arity-0 vertex, which pairs vacuously but
+    corresponds to no extractable subdiagram.
+
+    Only the arity cone of m is enumerated: gamma (arities >= 1) whose
+    arities, sorted descending, are bounded entry by entry by the top
+    |gamma| arities of m, also sorted descending.  Nothing outside the
+    cone can contribute: D raises one vertex arity by one and keeps the
+    vertex count, and its coefficients are positive multiplicities, so
+    some D^k gamma has a monomial dividing m exactly when gamma's vertices
+    inject into m's with no arity decreasing, which is the cone condition.
+    A branch stops early once its degree is positive and no further vertex can
+    lower it.  The result is sorted, hence an order-preserving subset of
+    the same filters applied to every monomial within m's half-edge and
+    vertex counts.
     """
-    out = [
-        gamma
-        for gamma in iter_monomials_within(max_half_edges, max_vertices)
-        if gamma.half_edges() >= 2
-        and is_divergent(gamma, p)
-        and _populatable_cached(gamma, 0)
-    ]
+    bounds = sorted(m.arity_list(), reverse=True)
+    out: list[MultiIndex] = []
+
+    def recurse(cap: int, half_edges: int, acc: list[int]) -> None:
+        deg = _degree(half_edges, len(acc), p)
+        if half_edges >= 2 and deg <= 0:
+            gamma = MultiIndex((k, 1) for k in acc)
+            if _populatable_cached(gamma, 0):
+                out.append(gamma)
+        # deg is -d plus ell*k/2 + d per vertex of arity k.  At deg > 0 some
+        # vertex, of arity >= cap, adds a positive amount; that amount is
+        # linear in k and positive (d) at k = 0, so a further vertex of any
+        # arity k <= cap raises deg too and no extension is divergent.
+        if deg > 0:
+            return
+        if len(acc) < len(bounds):
+            for k in range(1, min(cap, bounds[len(acc)]) + 1):
+                acc.append(k)
+                recurse(k, half_edges + k, acc)
+                acc.pop()
+
+    recurse(m.max_arity(), 0, [])
     return tuple(sorted(out))
 
 
@@ -534,6 +562,13 @@ def coproduct_reduced(
         tuples of (arrangement count) * (iterated-partial falling
         factorial) * (matching coefficient in the product of shifted
         components).
+
+    Components are drawn from `extraction_candidates(m, p)`, the arity cone
+    of m: monomials whose descending arity list is bounded entry by entry
+    by the top arities of m.  A component contributes only through some
+    D^k gamma dividing m, and D only raises arities (with positive
+    coefficients, so nothing cancels), hence every monomial outside the
+    cone has no usable shift and every one inside has at least one.
     """
     he_m = m.half_edges()
     n_m = m.norm()
@@ -558,11 +593,7 @@ def coproduct_reduced(
             )
         return shifts
 
-    candidate_shifts: list[tuple[MultiIndex, dict[int, LinComb[MultiIndex]]]] = []
-    for gamma in extraction_candidates(he_m, n_m, p):
-        shifts = usable_shifts(gamma)
-        if shifts:
-            candidate_shifts.append((gamma, shifts))
+    candidate_shifts = [(gamma, usable_shifts(gamma)) for gamma in extraction_candidates(m, p)]
 
     raw: dict[Tuple[MIForest, MultiIndex], Fraction] = {}
 

@@ -164,72 +164,14 @@ def degree_feasible_connected(degrees: Sequence[int]) -> bool:
     return 2 * max(degrees) <= total
 
 
-def _construct_connected(degrees: Sequence[int]) -> list[Edge] | None:
-    """Greedy witness construction for a feasible connected degree sequence.
-
-    Builds a spanning structure by always joining the largest-residual
-    vertex to the largest-residual vertex of another component, then pairs
-    leftovers largest-first.  Returns None if the greedy gets stuck.
-    """
-    n = len(degrees)
-    if n == 1:
-        return []
-    residual = list(degrees)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges: list[Edge] = []
-    merges = 0
-    while merges < n - 1:
-        candidates = sorted(range(n), key=lambda v: -residual[v])
-        u = candidates[0]
-        partner = next(
-            (v for v in candidates[1:] if residual[v] > 0 and find(v) != find(u)), None
-        )
-        if partner is None or residual[u] == 0:
-            return None
-        parent[find(u)] = find(partner)
-        merges += 1
-        residual[u] -= 1
-        residual[partner] -= 1
-        edges.append((u, partner) if u < partner else (partner, u))
-    while True:
-        order = sorted((v for v in range(n) if residual[v] > 0), key=lambda v: -residual[v])
-        if not order:
-            break
-        if len(order) == 1:
-            return None
-        u, v = order[0], order[1]
-        residual[u] -= 1
-        residual[v] -= 1
-        edges.append((u, v) if u < v else (v, u))
-    return sorted(edges)
-
-
-def _search_connected(degrees: Sequence[int]) -> bool:
-    """Exhaustive loopless-matching search with early exit on connectivity."""
-    for matching in iter_labeled_matchings(degrees):
-        if connected(len(degrees), matching):
-            return True
-    return False
-
-
 def connected_realization_exists(degrees: Sequence[int]) -> bool:
     """True iff a connected loopless multigraph realizes the degrees.
 
-    Uses the feasibility criterion, then confirms with a greedy witness,
-    falling back to exhaustive search in the (unexpected) stuck case.
+    Decided by `degree_feasible_connected`: Hakimi's criterion for a
+    loopless multigraph (even sum, max <= sum - max) plus enough edges to
+    span the vertices; tests cross-check it against exhaustive search.
     """
-    if not degree_feasible_connected(degrees):
-        return False
-    if _construct_connected(degrees) is not None:
-        return True
-    return _search_connected(degrees)
+    return degree_feasible_connected(degrees)
 
 
 def matching_exists(arities: Sequence[int], free_legs: int) -> bool:

@@ -10,7 +10,10 @@ Core claims (hand-checked oracles):
     - arity-raising operator: D(z3^2) = 2 z3 z4,
       D^2(z3^2) = 2 z4^2 + 2 z3 z5
     - insertion golden: z3^2 into z2^2 under rule {2,4} is 4 z2 z4^2
-    - reduced coproduct goldens: the z4^n closed form for n=2..5, a
+    - extraction candidates: the arity cone of m keeps exactly those
+      monomials of the global scan (every populatable divergent monomial
+      within m's half-edge and vertex counts) with some D^k image dividing m
+    - reduced coproduct goldens: the z4^n closed form for n=2..5 and 12, a
       16-coefficient extraction on z2 z4^2, and the full-extraction term
       that only the unruled coproduct keeps
 """
@@ -29,6 +32,7 @@ from bphz.multiindex import (
     coproduct_full,
     coproduct_reduced,
     degree,
+    extraction_candidates,
     hat_sym_factor,
     insert,
     is_divergent,
@@ -197,6 +201,40 @@ def test_simultaneous_insert_single_component_reduces():
     assert simultaneous_insert(f, a, RULE) == insert(_m("z3^2"), a, RULE)
 
 
+# -- extraction candidates ------------------------------------------------------
+
+def _global_scan(max_half_edges, max_vertices, p):
+    """Oracle: every populatable divergent monomial with an edge, by full scan."""
+    return [
+        gamma
+        for gamma in iter_monomials_within(max_half_edges, max_vertices)
+        if gamma.half_edges() >= 2 and is_divergent(gamma, p) and is_populatable(gamma)
+    ]
+
+
+def _fits(gamma, m):
+    """True iff some monomial of some D^k gamma divides m (D^k adds k half-edges)."""
+    piece = LinComb.single(gamma)
+    for _ in range(m.half_edges() - gamma.half_edges() + 1):
+        if any(mono.submonomial_of(m) for mono in piece.keys()):
+            return True
+        piece = apply_D(piece)
+    return False
+
+
+def test_extraction_candidates_are_the_arity_cone_of_the_global_scan():
+    for p in (P, DegreeParams(Fraction(-1), 4), DegreeParams(Fraction(-3, 2), 3)):
+        scans = {}
+        for m in iter_monomials_within(12, 5):
+            key = (m.half_edges(), m.norm())
+            if key not in scans:
+                scans[key] = _global_scan(*key, p)
+            kept = extraction_candidates(m, p)
+            assert kept == tuple(g for g in scans[key] if _fits(g, m)), m
+            for gamma in set(scans[key]) - set(kept):
+                assert not _fits(gamma, m), (m, gamma)
+
+
 # -- coproduct ----------------------------------------------------------------------
 
 def _z4_closed_form(n: int) -> LinComb:
@@ -216,7 +254,7 @@ def _z4_closed_form(n: int) -> LinComb:
 
 
 def test_coproduct_z4_closed_form_small():
-    for n in (2, 3, 4, 5):
+    for n in (2, 3, 4, 5, 12):
         got = coproduct_reduced(MultiIndex.single(4, n), P, RULE)
         assert got == _z4_closed_form(n), n
 

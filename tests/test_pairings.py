@@ -8,8 +8,13 @@ Core claims:
       the prod k! / prod m! counting formula
     - connectivity and degree-feasibility predicates agree with small
       hand-checked instances
+    - the degree criterion for a connected loopless realization agrees with
+      exhaustive matching search on every sequence of at most 5 vertices,
+      degrees at most 5 and at most 12 half-edges
     - free-leg matching existence respects parity and self-pairing limits
 """
+
+from itertools import combinations_with_replacement
 
 from bphz.pairings import (
     components,
@@ -101,6 +106,24 @@ def test_connected_realization():
     assert not connected_realization_exists((1, 1, 1, 1))
     assert connected_realization_exists((3, 3))
     assert not connected_realization_exists((4, 2, 1))
+
+
+def _search_connected(degrees):
+    """Oracle: exhaustive loopless-matching search for a connected one."""
+    return any(
+        connected(len(degrees), matching) for matching in iter_labeled_matchings(degrees)
+    )
+
+
+def test_connected_realization_agrees_with_exhaustive_search():
+    checked = 0
+    for n in range(1, 6):
+        for degrees in combinations_with_replacement(range(6), n):
+            if sum(degrees) > 12:
+                continue
+            assert connected_realization_exists(degrees) == _search_connected(degrees), degrees
+            checked += 1
+    assert checked == 296
 
 
 def test_matching_exists_with_free_legs():
