@@ -3,7 +3,8 @@
 The counting map sends a diagram to the monomial of its vertex arities;
 the lift sends a monomial to the weighted sum of connected diagrams
 obtained by pairing its half-edges.  This module implements both, the
-brute-force pairing enumerator that grounds the weights, and the
+pairing census that grounds the weights (grouped by multiplicity
+matrix; the tests check it against labeled brute force), and the
 orbit-stabilizer / adjointness / commuting-square checks that tie the
 two sides together.
 """
@@ -11,7 +12,7 @@ two sides together.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from math import comb, prod
 from typing import Iterator, Tuple
 
 from . import pairings
@@ -94,82 +95,86 @@ class PairingOutcome:
         )
 
 
-def _iter_index_matchings(
-    owners: list[int], indices: tuple[int, ...]
-) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Perfect matchings of the given half-edge indices avoiding same-vertex pairs."""
-    if not indices:
-        yield ()
-        return
-    first, rest = indices[0], indices[1:]
-    for pos, partner in enumerate(rest):
-        if owners[partner] == owners[first]:
+def _iter_leg_vectors(arities: list[int], free_legs: int) -> Iterator[tuple[int, ...]]:
+    """Per-vertex free-leg counts l with 0 <= l_v <= k_v and sum(l) == free_legs."""
+    n = len(arities)
+    legs = [0] * n
+
+    def recurse(v: int, left: int) -> Iterator[tuple[int, ...]]:
+        if v == n:
+            if left == 0:
+                yield tuple(legs)
+            return
+        for take in range(min(left, arities[v]) + 1):
+            legs[v] = take
+            yield from recurse(v + 1, left - take)
+
+    yield from recurse(0, free_legs)
+
+
+def _census_key(
+    arities: list[int],
+    edges: Tuple[Tuple[int, int], ...],
+    legs: tuple[int, ...],
+    connected_only: bool,
+):
+    """Bucket of one pairing: canonical diagram, diagram forest or legged class."""
+    n = len(arities)
+    if any(legs):
+        canon_edges, _, _, deco = _canonical_search(n, edges, legs)
+        return LeggedClass(
+            "n={}; e={}; l={}".format(
+                n,
+                ",".join("{}-{}".format(u + 1, v + 1) for u, v in canon_edges),
+                ",".join(str(c) for c in deco),
+            )
+        )
+    if connected_only and all(a >= 1 for a in arities):
+        return canonicalize(Diagram(n, edges))
+    parts = []
+    for comp in _components(n, edges):
+        local = {v: i for i, v in enumerate(comp)}
+        comp_edges = [(local[u], local[v]) for u, v in edges if u in local]
+        if not comp_edges:
             continue
-        remainder = rest[:pos] + rest[pos + 1 :]
-        for tail in _iter_index_matchings(owners, remainder):
-            yield ((first, partner),) + tail
+        parts.append(canonicalize(Diagram(len(comp), comp_edges)))
+    return DiagForest(parts)
 
 
 def enumerate_pairings(
     m: MultiIndex, connected_only: bool, free_legs: int = 0
 ) -> PairingOutcome:
-    """Brute-force half-edge pairing census.
+    """Half-edge pairing census, grouped by multiplicity matrix.
 
-    Labels every half-edge (vertices sorted by arity, half-edges numbered
-    per vertex), designates every possible free-leg subset when free legs
-    are requested, enumerates loopless perfect matchings of the rest, and
-    buckets the outcomes: connected vacuum pairings by canonical diagram,
+    Counts labeled pairings: vertices sorted by arity, half-edges numbered
+    per vertex, every possible free-leg subset designated when free legs
+    are requested, and the rest paired into loopless edges.  The outcomes
+    are bucketed: connected vacuum pairings by canonical diagram,
     unrestricted vacuum pairings by diagram forest (isolated arity-0
     vertices are dropped: they contribute an empty factor), and legged
     pairings by a leg-decorated canonical key.
+
+    A bucket depends only on the leg vector l (free legs per vertex) and
+    the edge multiplicity matrix M of the paired half-edges, so each
+    (l, M) is visited once and adds its labeled count
+    prod_v C(k_v, l_v) * prod_v (k_v - l_v)! / prod_{u<v} m_uv!.
+    Tests check every count against the one-matching-at-a-time census.
     """
     arities = m.arity_list()
-    n = len(arities)
     total = sum(arities)
     counts: dict = {}
     outcome = PairingOutcome(counts, connected_only, free_legs)
     if free_legs < 0 or free_legs > total or (total - free_legs) % 2:
         return outcome
-    owners = [v for v, k in enumerate(arities) for _ in range(k)]
-
-    for free_set in combinations(range(total), free_legs):
-        held = set(free_set)
-        paired = tuple(i for i in range(total) if i not in held)
-        leg_count = [0] * n
-        for i in free_set:
-            leg_count[owners[i]] += 1
-        for matching in _iter_index_matchings(owners, paired):
-            edges = tuple(
-                (owners[i], owners[j]) if owners[i] < owners[j] else (owners[j], owners[i])
-                for i, j in matching
-            )
+    n = len(arities)
+    for legs in _iter_leg_vectors(arities, free_legs):
+        subsets = prod(map(comb, arities, legs))
+        residual = [k - l for k, l in zip(arities, legs)]
+        for edges, count in pairings.iter_multiplicity_matrices(residual):
             if connected_only and len(_components(n, edges)) != 1:
                 continue
-            if free_legs:
-                canon_edges, _, _, deco = _canonical_search(
-                    n, tuple(sorted(edges)), tuple(leg_count)
-                )
-                key = LeggedClass(
-                    "n={}; e={}; l={}".format(
-                        n,
-                        ",".join("{}-{}".format(u + 1, v + 1) for u, v in canon_edges),
-                        ",".join(str(c) for c in deco),
-                    )
-                )
-            elif connected_only and all(a >= 1 for a in arities):
-                key = canonicalize(Diagram(n, edges))
-            else:
-                parts = []
-                for comp in _components(n, edges):
-                    local = {v: i for i, v in enumerate(comp)}
-                    comp_edges = [
-                        (local[u], local[v]) for u, v in edges if u in local
-                    ]
-                    if not comp_edges:
-                        continue
-                    parts.append(canonicalize(Diagram(len(comp), comp_edges)))
-                key = DiagForest(parts)
-            counts[key] = counts.get(key, 0) + 1
+            key = _census_key(arities, edges, legs, connected_only)
+            counts[key] = counts.get(key, 0) + subsets * count
     return outcome
 
 
@@ -177,8 +182,8 @@ def lift_P(m: MultiIndex) -> LinComb[CanonDiagram]:
     """Lift to diagrams: sum of N(Gamma) * Gamma over connected pairings.
 
     Computed from multiplicity matrices (the per-matrix labeled matching
-    count is a product of factorials), which agrees with the brute-force
-    enumerator; arity-0 vertices can never join a connected diagram, so
+    count is a product of factorials), as `enumerate_pairings` is;
+    arity-0 vertices can never join a connected diagram, so
     any monomial containing them lifts to zero.
     """
     arities = m.arity_list()
@@ -208,7 +213,7 @@ def lift_P_forest(f: MIForest) -> LinComb[DiagForest]:
 
 
 def orbit_stabilizer_check(g: Diagram) -> bool:
-    """S_M(counting_map(g)) == N(g) * S_F(g) with N counted by brute force."""
+    """S_M(counting_map(g)) == N(g) * S_F(g) with N from the pairing census."""
     m = counting_map(g)
     canon = canonicalize(g)
     n_count = enumerate_pairings(m, connected_only=True).get(canon)

@@ -570,7 +570,7 @@ def main(argv=None) -> int:
     _add_common(sp)
     sp.set_defaults(fn=_cmd_degree)
 
-    sp = sub.add_parser("pairings", help="brute-force pairing census of a monomial")
+    sp = sub.add_parser("pairings", help="labeled pairing census of a monomial")
     sp.add_argument("--expr", required=True)
     sp.add_argument("--free", type=int, default=0, help="number of free legs")
     sp.add_argument("--all", action="store_true", help="include disconnected pairings")

@@ -114,7 +114,13 @@ _NUMERIC_CACHE: dict = {}
 
 
 def value_F_numeric(g: Diagram | CanonDiagram | DiagForest, kernel: KernelSpec) -> float:
-    """Normalized lattice sum: average the kernel product over vertex placements."""
+    """Normalized lattice sum: average the kernel product over vertex placements.
+
+    Kernel values are read from a site-by-site table built once per call;
+    placements run in lexicographic order and each product multiplies the
+    edges in order, so the float is bit-identical to summing
+    ``kernel.at`` over the placements of site tuples (tests check this).
+    """
     if isinstance(g, DiagForest):
         acc = 1.0
         for part in g.parts():
@@ -131,12 +137,13 @@ def value_F_numeric(g: Diagram | CanonDiagram | DiagForest, kernel: KernelSpec) 
     sites = list(product(range(kernel.N), repeat=kernel.d))
     if len(sites) ** n > _LATTICE_LIMIT:
         raise ValueError("lattice sum exceeds the size limit")
+    table = [[kernel.at(x, y) for y in sites] for x in sites]
     edges = diagram.edges
     total = 0.0
-    for placement in product(sites, repeat=n):
+    for placement in product(range(len(sites)), repeat=n):
         w = 1.0
         for u, v in edges:
-            w *= kernel.at(placement[u], placement[v])
+            w *= table[placement[u]][placement[v]]
         total += w
     result = total / len(sites) ** n
     _NUMERIC_CACHE[key] = result

@@ -4,18 +4,22 @@ Core claims (hand-checked oracles):
     - pairing censuses: z3^2 has 6 pairings (all the triple edge), z4^2
       has 24, z2^2 has 2, z2^3 has 8 labeled triangles, z4^3 has 1728
       doubled triangles, z1^4 splits into 3 disconnected two-edge forests
+    - the census grouped by multiplicity matrix equals the census taken
+      one labeled matching at a time, class by class
     - lift goldens: P(z3^2)=6, P(z2^2)=2, P(z2 z4^2)=192, the three
       iso-classes of P(z4^4); anything containing an isolatable z0 lifts
       to zero
-    - orbit-stabilizer identity S_M = N * S_F on every small diagram
+    - orbit-stabilizer identity S_M = N * S_F on every diagram up to 6 edges
     - the lift is adjoint to the counting map on small pairs
     - the extraction square commutes for small populatable monomials,
       with and without an arity rule
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from bphz.bridge import (
+    _census_key,
     adjoint_phi_P_check,
     commuting_square_check,
     enumerate_pairings,
@@ -42,6 +46,7 @@ from bphz.multiindex import (
     iter_monomials_within,
     sym_factor,
 )
+from bphz.pairings import components, iter_labeled_matchings
 
 P = DegreeParams(Fraction(-1), 3)
 RULE = Rule.parse("2,4")
@@ -85,6 +90,44 @@ def test_census_with_free_legs():
     assert out.total() == 18
     assert len(out.counts) == 1
     assert enumerate_pairings(_m("z3^2"), connected_only=True, free_legs=1).total() == 0
+
+
+def _census_by_matching(m: MultiIndex, connected_only: bool, free_legs: int) -> dict:
+    """The pairing census one labeled matching at a time (the oracle).
+
+    Designates every free-leg subset of the numbered half-edges, pairs the
+    rest by brute force, and buckets each matching on its own.
+    """
+    arities = m.arity_list()
+    n = len(arities)
+    total = sum(arities)
+    counts: dict = {}
+    if free_legs < 0 or free_legs > total or (total - free_legs) % 2:
+        return counts
+    owners = [v for v, k in enumerate(arities) for _ in range(k)]
+    for free_set in combinations(range(total), free_legs):
+        legs = [0] * n
+        for i in free_set:
+            legs[owners[i]] += 1
+        residual = [k - l for k, l in zip(arities, legs)]
+        for edges in iter_labeled_matchings(residual):
+            if connected_only and len(components(n, edges)) != 1:
+                continue
+            key = _census_key(arities, edges, tuple(legs), connected_only)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def test_census_matches_one_matching_at_a_time():
+    cases = 0
+    for m in iter_monomials_within(8, 5):
+        for connected_only in (True, False):
+            for free_legs in range(4):
+                want = _census_by_matching(m, connected_only, free_legs)
+                got = enumerate_pairings(m, connected_only, free_legs)
+                assert got.counts == want, (str(m), connected_only, free_legs)
+                cases += 1
+    assert cases == 472
 
 
 # -- the lift ----------------------------------------------------------------------
@@ -134,7 +177,7 @@ def test_lift_counts_satisfy_orbit_stabilizer():
 # -- identities over small enumerations ---------------------------------------------
 
 def test_orbit_stabilizer_small_diagrams():
-    for canon in iter_connected_diagrams(4):
+    for canon in iter_connected_diagrams(6):
         assert orbit_stabilizer_check(canon.diagram), canon.key
 
 

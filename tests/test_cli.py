@@ -152,6 +152,37 @@ def test_pairings_with_free_legs(capsys):
     assert payload["classes"] == [{"count": 18, "key": "n=2; e=1-2,1-2; l=1,1"}]
 
 
+def test_pairings_with_several_classes_json_golden(capsys):
+    rc, payload = run_json(
+        capsys, "pairings", "--expr", "z4^3", "--free", "4", "--json"
+    )
+    assert rc == 0
+    assert payload["total"] == 15264
+    assert payload["classes"] == [
+        {"count": 10368, "key": "n=3; e=1-2,1-3,2-3,2-3; l=2,1,1"},
+        {"count": 2592, "key": "n=3; e=1-3,1-3,2-3,2-3; l=2,2,0"},
+        {"count": 2304, "key": "n=3; e=1-3,2-3,2-3,2-3; l=3,1,0"},
+    ]
+    rc, payload = run_json(capsys, "pairings", "--expr", "z1^2 z2^2", "--all", "--json")
+    assert rc == 0
+    assert payload["total"] == 10
+    assert payload["classes"] == [
+        {"count": 2, "key": "n=2; e=1-2 . n=2; e=1-2,1-2"},
+        {"count": 8, "key": "n=4; e=1-3,2-4,3-4"},
+    ]
+
+
+def test_pairings_with_several_classes_text_golden(capsys):
+    rc, out, err = run(capsys, "pairings", "--expr", "z4^3", "--free", "4")
+    assert rc == 0 and err == ""
+    assert out == (
+        "     10368  n=3; e=1-2,1-3,2-3,2-3; l=2,1,1\n"
+        "      2592  n=3; e=1-3,1-3,2-3,2-3; l=2,2,0\n"
+        "      2304  n=3; e=1-3,2-3,2-3,2-3; l=3,1,0\n"
+        "     15264  total\n"
+    )
+
+
 def test_counterterms_table(capsys):
     rc, payload = run_json(capsys, "counterterms", "--json")
     assert rc == 0

@@ -2,7 +2,8 @@
 
 Core claims (hand-checked oracles):
     - the periodic kernel wraps indices and enforces evenness
-    - diagram values match direct lattice sums written out longhand
+    - diagram values match direct lattice sums written out longhand, and
+      equal the placement loop over kernel.at bit for bit
     - monomial values pass through the lift; the recursive variant
       (moments minus proper partitions) agrees with it
     - the Wick moment equals the brute-force pairing sum
@@ -16,11 +17,13 @@ Core claims (hand-checked oracles):
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from bphz import valuation
 from bphz.bridge import lift_P
-from bphz.feynman import Diagram, canonicalize
+from bphz.feynman import Diagram, canonicalize, iter_connected_diagrams
 from bphz.multiindex import DegreeParams, MultiIndex, Rule
 from bphz.pairings import iter_labeled_matchings
 from bphz.symvalue import SymbolicValue
@@ -92,6 +95,30 @@ def test_value_of_triple_edge_longhand():
         k.at((x,), (y,)) ** 3 for x in range(4) for y in range(4)
     ) / 16.0
     assert value_F_numeric(triple, k) == pytest.approx(want, rel=1e-12)
+
+
+def _lattice_sum_by_kernel_at(diagram: Diagram, kernel: KernelSpec) -> float:
+    """The placement loop over site tuples, calling kernel.at per edge (the oracle)."""
+    sites = list(product(range(kernel.N), repeat=kernel.d))
+    total = 0.0
+    for placement in product(sites, repeat=diagram.vertex_count):
+        w = 1.0
+        for u, v in diagram.edges:
+            w *= kernel.at(placement[u], placement[v])
+        total += w
+    return total / len(sites) ** diagram.vertex_count
+
+
+def test_value_F_numeric_is_bit_identical_to_the_kernel_at_loop(monkeypatch):
+    monkeypatch.setattr(valuation, "_NUMERIC_CACHE", {})
+    cases = 0
+    for (d, N), max_edges in (((1, 4), 5), ((2, 3), 3), ((1, 5), 4)):
+        k = sample_kernel(d, N)
+        for canon in iter_connected_diagrams(max_edges):
+            want = _lattice_sum_by_kernel_at(canon.diagram, k)
+            assert value_F_numeric(canon, k) == want, (d, N, canon.key)
+            cases += 1
+    assert cases == 81
 
 
 def test_value_F_symbolic_is_one_symbol_per_class():
