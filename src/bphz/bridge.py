@@ -21,14 +21,13 @@ from .feynman import (
     DiagForest,
     Diagram,
     _canonical_search,
-    _components,
     canonicalize,
     coproduct_reduced_F,
     counting_map,
     insert_F,
     simultaneous_insert_F,
 )
-from .lincomb import LinComb, Scalar
+from .lincomb import LinComb, apply_linear, multiplicative, product
 from .multiindex import (
     DegreeParams,
     MIForest,
@@ -38,7 +37,6 @@ from .multiindex import (
     inner_product,
     insert,
     sym_factor,
-    sym_factor_forest,
     simultaneous_insert,
 )
 
@@ -132,7 +130,7 @@ def _census_key(
     if connected_only and all(a >= 1 for a in arities):
         return canonicalize(Diagram(n, edges))
     parts = []
-    for comp in _components(n, edges):
+    for comp in pairings.components(n, edges):
         local = {v: i for i, v in enumerate(comp)}
         comp_edges = [(local[u], local[v]) for u, v in edges if u in local]
         if not comp_edges:
@@ -171,7 +169,7 @@ def enumerate_pairings(
         subsets = prod(map(comb, arities, legs))
         residual = [k - l for k, l in zip(arities, legs)]
         for edges, count in pairings.iter_multiplicity_matrices(residual):
-            if connected_only and len(_components(n, edges)) != 1:
+            if connected_only and len(pairings.components(n, edges)) != 1:
                 continue
             key = _census_key(arities, edges, legs, connected_only)
             counts[key] = counts.get(key, 0) + subsets * count
@@ -192,7 +190,7 @@ def lift_P(m: MultiIndex) -> LinComb[CanonDiagram]:
         return LinComb.zero()
     acc: dict[CanonDiagram, Fraction] = {}
     for edges, count in pairings.iter_multiplicity_matrices(arities):
-        if len(_components(n, edges)) != 1:
+        if len(pairings.components(n, edges)) != 1:
             continue
         key = canonicalize(Diagram(n, edges))
         acc[key] = acc.get(key, Fraction(0)) + count
@@ -201,15 +199,7 @@ def lift_P(m: MultiIndex) -> LinComb[CanonDiagram]:
 
 def lift_P_forest(f: MIForest) -> LinComb[DiagForest]:
     """Componentwise lift: the product of the component lifts as forests."""
-    acc: LinComb[DiagForest] = LinComb.single(DiagForest.empty())
-    for part in f.parts():
-        lifted = lift_P(part)
-        merged: list[tuple[DiagForest, Scalar]] = []
-        for forest, coef_a in acc.items():
-            for diagram, coef_b in lifted.items():
-                merged.append((forest.add(diagram), coef_a * coef_b))
-        acc = LinComb(merged)
-    return acc
+    return multiplicative(lift_P, f.parts(), LinComb.single(DiagForest.empty()), DiagForest.add)
 
 
 def orbit_stabilizer_check(g: Diagram) -> bool:
@@ -237,51 +227,31 @@ def commuting_square_check(
     pairs; the rule, when given, projects trunks on both sides (monomial
     support on the left, trunk vertex arities on the right).
     """
-    lhs: dict[Tuple[DiagForest, CanonDiagram], Fraction] = {}
-    for (forest, trunk), coef in coproduct_reduced(m, p, rule).items():
-        lifted_forest = lift_P_forest(forest)
-        lifted_trunk = lift_P(trunk)
-        for df, ca in lifted_forest.items():
-            for dt, cb in lifted_trunk.items():
-                key = (df, dt)
-                lhs[key] = lhs.get(key, Fraction(0)) + coef * ca * cb
-
-    rhs: dict[Tuple[DiagForest, CanonDiagram], Fraction] = {}
-    for diagram, weight in lift_P(m).items():
-        for (forest, trunk), coef in coproduct_reduced_F(diagram.diagram, p).items():
-            if rule is not None and not rule.admits(counting_map(trunk.diagram)):
-                continue
-            key = (forest, trunk)
-            rhs[key] = rhs.get(key, Fraction(0)) + weight * coef
-
-    lhs = {k: v for k, v in lhs.items() if v}
-    rhs = {k: v for k, v in rhs.items() if v}
+    lhs = apply_linear(
+        lambda ft: product(lift_P_forest(ft[0]), lift_P(ft[1])), coproduct_reduced(m, p, rule)
+    )
+    rhs = apply_linear(
+        lambda canon: LinComb(
+            ((forest, trunk), coef)
+            for (forest, trunk), coef in coproduct_reduced_F(canon.diagram, p).items()
+            if rule is None or rule.admits(counting_map(trunk.diagram))
+        ),
+        lift_P(m),
+    )
     return lhs == rhs
+
+
+def _count(canon: CanonDiagram) -> LinComb[MultiIndex]:
+    return LinComb.single(counting_map(canon.diagram))
 
 
 def morphism_insert_check(g1: Diagram, g2: Diagram, rule: Rule | None = None) -> bool:
     """counting_map is a morphism for single insertion."""
-    lhs: dict[MultiIndex, Fraction] = {}
-    for canon, coef in insert_F(g1, g2, rule).items():
-        key = counting_map(canon.diagram)
-        lhs[key] = lhs.get(key, Fraction(0)) + coef
-    lhs = {k: v for k, v in lhs.items() if v}
-    rhs = {
-        k: v for k, v in insert(counting_map(g1), counting_map(g2), rule).items()
-    }
-    return lhs == rhs
+    lhs = apply_linear(_count, insert_F(g1, g2, rule))
+    return lhs == insert(counting_map(g1), counting_map(g2), rule)
 
 
 def morphism_star_check(f: DiagForest, g: Diagram, rule: Rule | None = None) -> bool:
     """counting_map is a morphism for simultaneous insertion."""
-    lhs: dict[MultiIndex, Fraction] = {}
-    for canon, coef in simultaneous_insert_F(f, g, rule).items():
-        key = counting_map(canon.diagram)
-        lhs[key] = lhs.get(key, Fraction(0)) + coef
-    lhs = {k: v for k, v in lhs.items() if v}
-    mi_forest = counting_map(f)
-    rhs = {
-        k: v
-        for k, v in simultaneous_insert(mi_forest, counting_map(g), rule).items()
-    }
-    return lhs == rhs
+    lhs = apply_linear(_count, simultaneous_insert_F(f, g, rule))
+    return lhs == simultaneous_insert(counting_map(f), counting_map(g), rule)

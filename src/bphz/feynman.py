@@ -15,8 +15,9 @@ from itertools import permutations, product
 from math import factorial
 from typing import Iterable, Iterator, Mapping, Sequence, Tuple
 
-from .lincomb import LinComb, Scalar
+from .lincomb import Forest, LinComb, Scalar
 from .multiindex import DegreeParams, MIForest, MultiIndex, Rule
+from .pairings import components
 
 Edge = Tuple[int, int]
 
@@ -32,25 +33,6 @@ def _normalize_edges(edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
             raise ValueError("self-loops are forbidden")
         out.append((u, v) if u < v else (v, u))
     return tuple(sorted(out))
-
-
-def _components(vertex_count: int, edges: Sequence[Edge]) -> list[list[int]]:
-    parent = list(range(vertex_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    buckets: dict[int, list[int]] = {}
-    for v in range(vertex_count):
-        buckets.setdefault(find(v), []).append(v)
-    return sorted(buckets.values())
 
 
 class Diagram:
@@ -70,7 +52,7 @@ class Diagram:
         covered = {u for e in edges for u in e}
         if len(covered) != vertex_count:
             raise ValueError("every vertex must be incident to an edge")
-        if len(_components(vertex_count, edges)) != 1:
+        if len(components(vertex_count, edges)) != 1:
             raise ValueError("diagram must be connected")
         self._n = vertex_count
         self._edges = edges
@@ -316,70 +298,16 @@ def canonicalize(g: Diagram) -> CanonDiagram:
     return hit
 
 
-class DiagForest:
-    """Unordered multiset of canonical diagrams; empty forest is the unit."""
+class DiagForest(Forest):
+    """Forest of canonical diagrams; parts are ordered by canonical key."""
 
-    __slots__ = ("_parts",)
-
-    def __init__(self, parts: Iterable[CanonDiagram] = ()):
-        self._parts = tuple(sorted(parts))
-
-    @classmethod
-    def empty(cls) -> "DiagForest":
-        return cls()
-
-    @classmethod
-    def of(cls, *parts: CanonDiagram) -> "DiagForest":
-        return cls(parts)
-
-    def parts(self) -> tuple[CanonDiagram, ...]:
-        return self._parts
-
-    def counts(self) -> list[tuple[CanonDiagram, int]]:
-        out: list[tuple[CanonDiagram, int]] = []
-        for part in self._parts:
-            if out and out[-1][0] == part:
-                out[-1] = (part, out[-1][1] + 1)
-            else:
-                out.append((part, 1))
-        return out
-
-    def is_empty(self) -> bool:
-        return not self._parts
-
-    def __len__(self) -> int:
-        return len(self._parts)
-
-    def merge(self, other: "DiagForest") -> "DiagForest":
-        return DiagForest(self._parts + other._parts)
-
-    def add(self, part: CanonDiagram) -> "DiagForest":
-        return DiagForest(self._parts + (part,))
+    __slots__ = ()
 
     def sym_factor(self) -> int:
         out = 1
         for part, count in self.counts():
             out *= factorial(count) * part.aut_order**count
         return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DiagForest):
-            return NotImplemented
-        return self._parts == other._parts
-
-    def __hash__(self) -> int:
-        return hash(self._parts)
-
-    def __lt__(self, other: "DiagForest") -> bool:
-        return tuple(p.key for p in self._parts) < tuple(p.key for p in other._parts)
-
-    def __str__(self) -> str:
-        if not self._parts:
-            return "1"
-        return " . ".join(p.key for p in self._parts)
-
-    def __repr__(self) -> str:
-        return "DiagForest({})".format(self)
 
 
 class HalfEdgeGraph:
@@ -450,7 +378,7 @@ def divergent_extractions(
         touched = sorted({u for e in sub_edges for u in e})
         comp_lists = [
             comp
-            for comp in _components(g.vertex_count, tuple(sub_edges))
+            for comp in components(g.vertex_count, sub_edges)
             if len(comp) > 1 or comp[0] in touched
         ]
         comp_of = {v: i for i, comp in enumerate(comp_lists) for v in comp}

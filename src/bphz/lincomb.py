@@ -1,9 +1,16 @@
-"""Exact rational scalars and free-module linear combinations.
+"""Exact rational scalars, free-module linear combinations, and forests.
 
 Every algebraic output of this package is a finite linear combination of
 basis elements (monomials, forests, diagrams, tensor pairs) with exact
 rational coefficients.  ``LinComb`` is that free module: an immutable map
 from basis keys to nonzero ``Fraction`` values.
+
+Both Hopf algebras are free commutative algebras on their connected
+pieces, so a basis element is a ``Forest``: a multiset of pieces whose
+product is the multiset union.  ``product`` is the bilinear product of two
+combinations and ``multiplicative`` extends a map on pieces to forests;
+both read only ``items()`` and the combination's constructor, so they
+serve any coefficient ring.
 
 Basis keys may be any hashable objects whose ``str`` form is canonical
 (equal objects print identically, distinct objects print distinctly);
@@ -18,7 +25,6 @@ from typing import Callable, Generic, Hashable, Iterable, Iterator, Mapping, Tup
 Scalar = Fraction
 
 B = TypeVar("B", bound=Hashable)
-C = TypeVar("C", bound=Hashable)
 
 RationalLike = int | str | Fraction
 
@@ -130,33 +136,89 @@ def _wrap(terms: dict) -> LinComb:
     return out
 
 
-def add(a: LinComb[B], b: LinComb[B]) -> LinComb[B]:
-    """Coefficientwise sum with zero pruning."""
-    return a + b
+def product(a, b, mul: Callable = lambda x, y: (x, y)):
+    """Bilinear product: keys combine through mul (default: paired), coefficients multiply."""
+    return type(a)((mul(ka, kb), ca * cb) for ka, ca in a.items() for kb, cb in b.items())
 
 
-def tensor(a: LinComb[B], b: LinComb[C]) -> LinComb[Tuple[B, C]]:
-    """Bilinear tensor product; keys are paired into tuples."""
-    acc: dict = {}
-    for ka, ca in a._terms.items():
-        for kb, cb in b._terms.items():
-            key = (ka, kb)
-            total = acc.get(key, Fraction(0)) + ca * cb
-            if total:
-                acc[key] = total
-            else:
-                acc.pop(key, None)
-    return _wrap(acc)
+def multiplicative(fn: Callable, parts: Iterable, unit, mul: Callable):
+    """Multiplicative extension: the product of fn over the parts, from unit."""
+    acc = unit
+    for part in parts:
+        acc = product(acc, fn(part), mul)
+    return acc
 
 
-def apply_linear(f: Callable[[B], LinComb[C]], a: LinComb[B]) -> LinComb[C]:
+def apply_linear(f: Callable, a):
     """Linear extension of a basis map: sum of coeff * f(key)."""
-    acc: dict = {}
-    for key, coef in a._terms.items():
-        for out_key, out_coef in f(key)._terms.items():
-            total = acc.get(out_key, Fraction(0)) + coef * out_coef
-            if total:
-                acc[out_key] = total
+    return type(a)(
+        (out_key, out_coef * coef)
+        for key, coef in a.items()
+        for out_key, out_coef in f(key).items()
+    )
+
+
+class Forest:
+    """Unordered multiset of parts: a monomial of the free commutative algebra.
+
+    Parts are kept as a sorted tuple; the empty forest is the unit.
+    Equality is type-strict, so forests of different algebras never
+    compare equal, even when both are empty.
+    """
+
+    __slots__ = ("_parts",)
+
+    def __init__(self, parts: Iterable = ()):
+        self._parts = tuple(sorted(parts))
+
+    @classmethod
+    def empty(cls):
+        return cls()
+
+    @classmethod
+    def of(cls, *parts):
+        return cls(parts)
+
+    def parts(self) -> tuple:
+        return self._parts
+
+    def counts(self) -> list[tuple]:
+        """Distinct parts with multiplicities, in canonical order."""
+        out: list[tuple] = []
+        for part in self._parts:
+            if out and out[-1][0] == part:
+                out[-1] = (part, out[-1][1] + 1)
             else:
-                acc.pop(out_key, None)
-    return _wrap(acc)
+                out.append((part, 1))
+        return out
+
+    def is_empty(self) -> bool:
+        return not self._parts
+
+    def __len__(self) -> int:
+        return len(self._parts)
+
+    def merge(self, other: "Forest"):
+        return type(self)(self._parts + other._parts)
+
+    def add(self, part):
+        return type(self)(self._parts + (part,))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._parts == other._parts
+
+    def __hash__(self) -> int:
+        return hash(self._parts)
+
+    def __lt__(self, other: "Forest") -> bool:
+        return self._parts < other._parts
+
+    def __str__(self) -> str:
+        if not self._parts:
+            return "1"
+        return " . ".join(str(p) for p in self._parts)
+
+    def __repr__(self) -> str:
+        return "{}({})".format(type(self).__name__, self)

@@ -19,7 +19,7 @@ from math import factorial
 from typing import Iterable, Iterator, Mapping, Sequence, Tuple
 
 from . import pairings
-from .lincomb import LinComb, RationalLike, Scalar, as_scalar
+from .lincomb import Forest, LinComb, RationalLike, Scalar, as_scalar, multiplicative
 from .symvalue import SymbolicValue
 
 _TOKEN = re.compile(r"^z(\d+)(?:\^(\d+))?$")
@@ -153,24 +153,16 @@ class MultiIndex:
         return "MultiIndex({})".format(self)
 
 
-class MIForest:
-    """Unordered multiset of multi-indices; the empty forest is the unit."""
+class MIForest(Forest):
+    """Forest of multi-indices; the empty monomial is not a component."""
 
-    __slots__ = ("_parts",)
+    __slots__ = ()
 
     def __init__(self, parts: Iterable[MultiIndex] = ()):
         parts = tuple(parts)
         if any(p.is_empty() for p in parts):
             raise ValueError("forests may not contain the empty monomial")
-        self._parts = tuple(sorted(parts))
-
-    @classmethod
-    def empty(cls) -> "MIForest":
-        return cls()
-
-    @classmethod
-    def of(cls, *parts: MultiIndex) -> "MIForest":
-        return cls(parts)
+        super().__init__(parts)
 
     @classmethod
     def parse(cls, text: str) -> "MIForest":
@@ -179,56 +171,12 @@ class MIForest:
             return cls()
         return cls(MultiIndex.parse(chunk) for chunk in text.split("."))
 
-    def parts(self) -> tuple[MultiIndex, ...]:
-        return self._parts
-
-    def counts(self) -> list[tuple[MultiIndex, int]]:
-        """Distinct components with multiplicities, in canonical order."""
-        out: list[tuple[MultiIndex, int]] = []
-        for part in self._parts:
-            if out and out[-1][0] == part:
-                out[-1] = (part, out[-1][1] + 1)
-            else:
-                out.append((part, 1))
-        return out
-
-    def is_empty(self) -> bool:
-        return not self._parts
-
-    def __len__(self) -> int:
-        return len(self._parts)
-
-    def merge(self, other: "MIForest") -> "MIForest":
-        return MIForest(self._parts + other._parts)
-
-    def add(self, part: MultiIndex) -> "MIForest":
-        return MIForest(self._parts + (part,))
-
     def product(self) -> MultiIndex:
         """Forget the partition: the product monomial of all components."""
         out = MultiIndex.unit()
         for part in self._parts:
             out = out.mul(part)
         return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MIForest):
-            return NotImplemented
-        return self._parts == other._parts
-
-    def __hash__(self) -> int:
-        return hash(self._parts)
-
-    def __lt__(self, other: "MIForest") -> bool:
-        return self._parts < other._parts
-
-    def __str__(self) -> str:
-        if not self._parts:
-            return "1"
-        return " . ".join(str(p) for p in self._parts)
-
-    def __repr__(self) -> str:
-        return "MIForest({})".format(self)
 
 
 @dataclass(frozen=True)
@@ -706,16 +654,9 @@ def coproduct_full_forest(
     trunk_in_image: bool = False,
 ) -> LinComb[Tuple[MIForest, MIForest]]:
     """Multiplicative extension of the full coproduct to forests."""
-    acc: LinComb[Tuple[MIForest, MIForest]] = LinComb.single(
-        (MIForest.empty(), MIForest.empty())
+    return multiplicative(
+        lambda part: coproduct_full(part, p, rule, trunk_in_image=trunk_in_image),
+        f.parts(),
+        LinComb.single((MIForest.empty(), MIForest.empty())),
+        lambda a, b: (a[0].merge(b[0]), a[1].merge(b[1])),
     )
-    for part in f.parts():
-        part_cop = coproduct_full(part, p, rule, trunk_in_image=trunk_in_image)
-        merged: list[tuple[Tuple[MIForest, MIForest], Scalar]] = []
-        for (left_a, right_a), coef_a in acc.items():
-            for (left_b, right_b), coef_b in part_cop.items():
-                merged.append(
-                    ((left_a.merge(left_b), right_a.merge(right_b)), coef_a * coef_b)
-                )
-        acc = LinComb(merged)
-    return acc

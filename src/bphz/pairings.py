@@ -17,10 +17,8 @@ from typing import Iterator, Sequence, Tuple
 Edge = Tuple[int, int]  # (u, v) with u < v, 0-based vertex indices
 
 
-def connected(vertex_count: int, edges: Sequence[Edge]) -> bool:
-    """True iff the graph spans all vertices in one component."""
-    if vertex_count <= 1:
-        return True
+def components(vertex_count: int, edges: Sequence[Edge]) -> list[list[int]]:
+    """Connected components as sorted vertex lists (isolated vertices included)."""
     parent = list(range(vertex_count))
 
     def find(x: int) -> int:
@@ -29,37 +27,14 @@ def connected(vertex_count: int, edges: Sequence[Edge]) -> bool:
             x = parent[x]
         return x
 
-    merges = 0
     for u, v in edges:
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
-            merges += 1
-    return merges == vertex_count - 1
-
-
-def components(vertex_count: int, edges: Sequence[Edge]) -> list[list[int]]:
-    """Connected components as sorted vertex lists (isolated vertices included)."""
-    adjacency: list[set[int]] = [set() for _ in range(vertex_count)]
-    for u, v in edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    seen = [False] * vertex_count
-    out: list[list[int]] = []
-    for start in range(vertex_count):
-        if seen[start]:
-            continue
-        stack, block = [start], []
-        seen[start] = True
-        while stack:
-            node = stack.pop()
-            block.append(node)
-            for nxt in adjacency[node]:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append(nxt)
-        out.append(sorted(block))
-    return out
+    buckets: dict[int, list[int]] = {}
+    for v in range(vertex_count):
+        buckets.setdefault(find(v), []).append(v)
+    return sorted(buckets.values())
 
 
 def iter_labeled_matchings(arities: Sequence[int]) -> Iterator[Tuple[Edge, ...]]:
@@ -99,6 +74,9 @@ def iter_multiplicity_matrices(arities: Sequence[int]) -> Iterator[Tuple[Tuple[E
     n = len(arities)
     if sum(arities) % 2:
         return
+    numerator = 1
+    for k in arities:
+        numerator *= factorial(k)
     remaining = list(arities)
     rows: list[Tuple[int, ...]] = []
 
@@ -111,14 +89,16 @@ def iter_multiplicity_matrices(arities: Sequence[int]) -> Iterator[Tuple[Tuple[E
                     if mult:
                         edges.extend([(i, i + 1 + j)] * mult)
                         denom *= factorial(mult)
-            count = 1
-            for k in arities:
-                count *= factorial(k)
-            yield tuple(sorted(edges)), count // denom
+            yield tuple(sorted(edges)), numerator // denom
             return
         targets = list(range(u + 1, n))
+        # suffix[pos]: capacity of targets[pos:].  fill lowers remaining[v]
+        # only at positions it has passed, so the sums stay valid in this row.
+        suffix = [0] * (len(targets) + 1)
+        for pos in range(len(targets) - 1, -1, -1):
+            suffix[pos] = suffix[pos + 1] + remaining[targets[pos]]
         need = remaining[u]
-        if need > sum(remaining[v] for v in targets):
+        if need > suffix[0]:
             return
 
         def fill(pos: int, left: int, row: list[int]) -> Iterator[Tuple[Tuple[Edge, ...], int]]:
@@ -129,8 +109,7 @@ def iter_multiplicity_matrices(arities: Sequence[int]) -> Iterator[Tuple[Tuple[E
                     rows.pop()
                 return
             v = targets[pos]
-            tail_capacity = sum(remaining[w] for w in targets[pos + 1 :])
-            low = max(0, left - tail_capacity)
+            low = max(0, left - suffix[pos + 1])
             high = min(left, remaining[v])
             for take in range(low, high + 1):
                 remaining[v] -= take
@@ -144,12 +123,14 @@ def iter_multiplicity_matrices(arities: Sequence[int]) -> Iterator[Tuple[Tuple[E
     yield from recurse(0)
 
 
-def degree_feasible_connected(degrees: Sequence[int]) -> bool:
-    """Feasibility of a connected loopless multigraph with these degrees.
+def connected_realization_exists(degrees: Sequence[int]) -> bool:
+    """True iff a connected loopless multigraph realizes the degrees.
 
-    Conditions: even degree sum; every vertex degree >= 1 (single vertex:
-    degree 0); enough edges to span (sum/2 >= n-1); and no vertex demands
-    more than the others can supply (max <= sum - max).
+    Hakimi's criterion for a loopless multigraph (even degree sum, no
+    vertex demanding more than the others supply: max <= sum - max), plus
+    every vertex degree >= 1 and enough edges to span (sum/2 >= n-1); a
+    single vertex needs degree 0.  Tests cross-check it against exhaustive
+    search.
     """
     n = len(degrees)
     total = sum(degrees)
@@ -162,16 +143,6 @@ def degree_feasible_connected(degrees: Sequence[int]) -> bool:
     if total // 2 < n - 1:
         return False
     return 2 * max(degrees) <= total
-
-
-def connected_realization_exists(degrees: Sequence[int]) -> bool:
-    """True iff a connected loopless multigraph realizes the degrees.
-
-    Decided by `degree_feasible_connected`: Hakimi's criterion for a
-    loopless multigraph (even sum, max <= sum - max) plus enough edges to
-    span the vertices; tests cross-check it against exhaustive search.
-    """
-    return degree_feasible_connected(degrees)
 
 
 def matching_exists(arities: Sequence[int], free_legs: int) -> bool:

@@ -9,13 +9,12 @@ symbols, so the result stays exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Iterable, Tuple
 
 from . import feynman as fy
 from . import multiindex as mi
 from .feynman import CanonDiagram, DiagForest, Diagram
-from .lincomb import LinComb, Scalar
+from .lincomb import Forest, LinComb, apply_linear, multiplicative, product
 from .multiindex import DegreeParams, MIForest, MultiIndex, Rule
 from .symvalue import SymbolicValue
 
@@ -29,14 +28,17 @@ def in_negative_part_F(g: Diagram, p: DegreeParams) -> bool:
     return fy.is_divergent(g, p)
 
 
-def _merge_forest_combs(
-    a: LinComb[MIForest], b: LinComb[MIForest]
-) -> LinComb[MIForest]:
-    out: list[tuple[MIForest, Scalar]] = []
-    for fa, ca in a.items():
-        for fb, cb in b.items():
-            out.append((fa.merge(fb), ca * cb))
-    return LinComb(out)
+def _antipode(top: Forest, reduced_items: Iterable, recurse: Callable) -> LinComb:
+    """-top - sum of coef * recurse(forest) * trunk: the antipode recursion.
+
+    top is the singleton forest of the element, reduced_items are the
+    ((forest, trunk), coef) terms of its reduced coproduct, and recurse is
+    the antipode extended multiplicatively to forests.
+    """
+    acc = LinComb.single(top, -1)
+    for (forest, trunk), coef in reduced_items:
+        acc = acc - product(recurse(forest), LinComb.single(trunk, coef), type(top).add)
+    return acc
 
 
 _ANTIPODE_M_CACHE: dict = {}
@@ -58,23 +60,22 @@ def antipode_M(m: MultiIndex, p: DegreeParams, rule: Rule) -> LinComb[MIForest]:
     if not in_negative_part_M(m, p):
         result: LinComb[MIForest] = LinComb.zero()
     else:
-        acc = LinComb.single(MIForest.of(m), Fraction(-1))
         reduced = mi.coproduct_reduced(m, p, rule, trunk_in_image=True)
-        for (forest, trunk), coef in reduced.items():
-            term = antipode_M_forest(forest, p, rule)
-            term = _merge_forest_combs(term, LinComb.single(MIForest.of(trunk)))
-            acc = acc + term.scale(-coef)
-        result = acc
+        result = _antipode(
+            MIForest.of(m), reduced.items(), lambda f: antipode_M_forest(f, p, rule)
+        )
     _ANTIPODE_M_CACHE[key] = result
     return result
 
 
 def antipode_M_forest(f: MIForest, p: DegreeParams, rule: Rule) -> LinComb[MIForest]:
     """Multiplicative extension of the antipode to forests."""
-    acc = LinComb.single(MIForest.empty())
-    for part in f.parts():
-        acc = _merge_forest_combs(acc, antipode_M(part, p, rule))
-    return acc
+    return multiplicative(
+        lambda part: antipode_M(part, p, rule),
+        f.parts(),
+        LinComb.single(MIForest.empty()),
+        MIForest.merge,
+    )
 
 
 _HAT_ANTIPODE_M_CACHE: dict = {}
@@ -93,35 +94,25 @@ def hat_antipode_M(m: MultiIndex, p: DegreeParams, rule: Rule) -> LinComb[MIFore
     cached = _HAT_ANTIPODE_M_CACHE.get(key)
     if cached is not None:
         return cached
-    acc = LinComb.single(MIForest.of(m), Fraction(-1))
     reduced = mi.coproduct_reduced(m, p, rule, trunk_in_image=True)
-    for (forest, trunk), coef in reduced.items():
-        if not mi.is_divergent(trunk, p):
-            continue
-        term = hat_antipode_M_forest(forest, p, rule)
-        term = _merge_forest_combs(term, LinComb.single(MIForest.of(trunk)))
-        acc = acc + term.scale(-coef)
-    _HAT_ANTIPODE_M_CACHE[key] = acc
-    return acc
+    result = _antipode(
+        MIForest.of(m),
+        (((f, t), c) for (f, t), c in reduced.items() if mi.is_divergent(t, p)),
+        lambda f: hat_antipode_M_forest(f, p, rule),
+    )
+    _HAT_ANTIPODE_M_CACHE[key] = result
+    return result
 
 
 def hat_antipode_M_forest(
     f: MIForest, p: DegreeParams, rule: Rule
 ) -> LinComb[MIForest]:
-    acc = LinComb.single(MIForest.empty())
-    for part in f.parts():
-        acc = _merge_forest_combs(acc, hat_antipode_M(part, p, rule))
-    return acc
-
-
-def _merge_diag_combs(
-    a: LinComb[DiagForest], b: LinComb[DiagForest]
-) -> LinComb[DiagForest]:
-    out: list[tuple[DiagForest, Scalar]] = []
-    for fa, ca in a.items():
-        for fb, cb in b.items():
-            out.append((fa.merge(fb), ca * cb))
-    return LinComb(out)
+    return multiplicative(
+        lambda part: hat_antipode_M(part, p, rule),
+        f.parts(),
+        LinComb.single(MIForest.empty()),
+        MIForest.merge,
+    )
 
 
 _ANTIPODE_F_CACHE: dict = {}
@@ -144,20 +135,22 @@ def antipode_F(
     cached = _ANTIPODE_F_CACHE.get(key)
     if cached is not None:
         return cached
-    acc = LinComb.single(DiagForest.of(canon), Fraction(-1))
-    for (forest, trunk), coef in fy.coproduct_reduced_F(g, p).items():
-        term = antipode_F_forest(forest, p)
-        term = _merge_diag_combs(term, LinComb.single(DiagForest.of(trunk)))
-        acc = acc + term.scale(-coef)
-    _ANTIPODE_F_CACHE[key] = acc
-    return acc
+    result = _antipode(
+        DiagForest.of(canon),
+        fy.coproduct_reduced_F(g, p).items(),
+        lambda f: antipode_F_forest(f, p),
+    )
+    _ANTIPODE_F_CACHE[key] = result
+    return result
 
 
 def antipode_F_forest(f: DiagForest, p: DegreeParams) -> LinComb[DiagForest]:
-    acc = LinComb.single(DiagForest.empty())
-    for part in f.parts():
-        acc = _merge_diag_combs(acc, antipode_F(part.diagram, p))
-    return acc
+    return multiplicative(
+        lambda part: antipode_F(part.diagram, p),
+        f.parts(),
+        LinComb.single(DiagForest.empty()),
+        DiagForest.merge,
+    )
 
 
 def _to_symbolic(value) -> SymbolicValue:
@@ -187,7 +180,7 @@ class Character:
         return cached
 
     def __call__(self, x) -> SymbolicValue:
-        if isinstance(x, (MIForest, DiagForest)):
+        if isinstance(x, Forest):
             acc = SymbolicValue.one()
             for part in x.parts():
                 acc = acc * self.on_component(part)
@@ -393,22 +386,16 @@ def renorm_map_forest(
     f: Character, basis: MIForest, p: DegreeParams, rule: Rule
 ) -> RenormOutput:
     """Multiplicative extension of the transport map to basis forests."""
-    acc = RenormOutput([(MIForest.empty(), SymbolicValue.one())])
-    for part in basis.parts():
-        part_out = renorm_map(f, part, p, rule)
-        merged: list[tuple[object, SymbolicValue]] = []
-        for key_a, val_a in acc.items():
-            for key_b, val_b in part_out.items():
-                merged.append((key_a.merge(key_b), val_a * val_b))
-        acc = RenormOutput(merged)
-    return acc
+    return multiplicative(
+        lambda part: renorm_map(f, part, p, rule),
+        basis.parts(),
+        RenormOutput([(MIForest.empty(), SymbolicValue.one())]),
+        MIForest.merge,
+    )
 
 
 def renorm_map_output(
     f: Character, series: RenormOutput, p: DegreeParams, rule: Rule
 ) -> RenormOutput:
     """Apply the transport map linearly to a combination of basis forests."""
-    acc = RenormOutput.zero()
-    for key, value in series.items():
-        acc = acc + renorm_map_forest(f, key, p, rule).scale(value)
-    return acc
+    return apply_linear(lambda key: renorm_map_forest(f, key, p, rule), series)

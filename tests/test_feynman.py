@@ -22,7 +22,7 @@ import pytest
 
 from bphz.lincomb import LinComb
 from bphz.multiindex import DegreeParams, MultiIndex, Rule
-from bphz.pairings import connected
+from bphz.pairings import components
 from bphz.feynman import (
     CanonDiagram,
     DiagForest,
@@ -238,7 +238,7 @@ def _brute_connected_diagrams(max_edges: int) -> set[CanonDiagram]:
                 for u, v in edges:
                     covered.add(u)
                     covered.add(v)
-                if len(covered) == n and connected(n, edges):
+                if len(covered) == n and len(components(n, edges)) == 1:
                     found.add(canonicalize(Diagram(n, edges)))
                 return
             for m in range(remaining + 1):

@@ -4,7 +4,10 @@ Core claims:
     - construction merges duplicate keys and drops exact zeros
     - arithmetic (+, -, negation, scaling) is exact over Fraction
     - equality, hashing, and iteration order are deterministic
-    - tensor and apply_linear behave bilinearly / linearly
+    - product and apply_linear behave bilinearly / linearly
+    - forests are sorted multisets whose equality is type-strict, and
+      multiplicative extends a map on parts to forests
+    - the public API (bphz.__all__) is pinned
     - JSON round-trips coefficients as numerator/denominator pairs
 """
 
@@ -12,7 +15,10 @@ from fractions import Fraction
 
 import pytest
 
-from bphz.lincomb import LinComb, add, apply_linear, as_scalar, tensor
+import bphz
+from bphz.feynman import DiagForest, Diagram, canonicalize
+from bphz.lincomb import Forest, LinComb, apply_linear, as_scalar, multiplicative, product
+from bphz.multiindex import MIForest, MultiIndex
 
 
 def test_as_scalar_accepts_ints_strings_fractions():
@@ -55,16 +61,10 @@ def test_equality_and_hash():
     assert c1 != LinComb.single("a")
 
 
-def test_add_function_matches_operator():
-    c1 = LinComb.single("a", 2)
-    c2 = LinComb.single("b", 3)
-    assert add(c1, c2) == c1 + c2
-
-
-def test_tensor_is_bilinear():
+def test_product_is_bilinear():
     c1 = LinComb([("a", 2), ("b", 1)])
     c2 = LinComb([("x", 3)])
-    t = tensor(c1, c2)
+    t = product(c1, c2)
     assert t.coeff(("a", "x")) == 6
     assert t.coeff(("b", "x")) == 3
 
@@ -89,3 +89,149 @@ def test_scale_by_zero_is_zero():
 def test_rejects_bad_scalar():
     with pytest.raises((ValueError, TypeError, ZeroDivisionError)):
         LinComb.single("a", "not-a-number")
+
+
+# -- forests and the multiplicative extension ---------------------------------
+
+def test_forest_equality_is_type_strict():
+    assert MIForest.empty() != DiagForest.empty()
+    assert not MIForest.empty() == DiagForest.empty()
+    assert MIForest.empty() == MIForest()
+    z4 = MultiIndex.parse("z4")
+    assert Forest.of(z4) != MIForest.of(z4)
+
+
+def test_forest_is_a_sorted_multiset():
+    z2, z4 = MultiIndex.parse("z2"), MultiIndex.parse("z4")
+    f = MIForest.of(z4, z2, z4)
+    assert f == MIForest.of(z4, z4, z2)
+    assert hash(f) == hash(MIForest.of(z2, z4, z4))
+    assert f.parts() == (z2, z4, z4)
+    assert f.counts() == [(z2, 1), (z4, 2)]
+    assert len(f) == 3 and not f.is_empty() and MIForest.empty().is_empty()
+    assert MIForest.of(z2) < MIForest.of(z4)
+
+
+def test_merge_and_add_keep_the_subclass():
+    z4 = MultiIndex.parse("z4")
+    merged = MIForest.of(z4).merge(MIForest.of(z4))
+    assert type(merged) is MIForest and merged == MIForest.of(z4, z4)
+    assert type(MIForest.empty().add(z4)) is MIForest
+    triple = canonicalize(Diagram(2, [(0, 1)] * 3))
+    assert type(DiagForest.empty().add(triple)) is DiagForest
+    assert type(DiagForest.of(triple).merge(DiagForest.of(triple))) is DiagForest
+
+
+def test_miforest_rejects_the_empty_monomial():
+    with pytest.raises(ValueError):
+        MIForest.of(MultiIndex.unit())
+    with pytest.raises(ValueError):
+        MIForest.empty().add(MultiIndex.unit())
+
+
+def test_forest_str_and_repr():
+    assert str(MIForest.empty()) == "1"
+    f = MIForest.parse("z4^2 . z2")
+    assert str(f) == "z2 . z4^2"
+    assert repr(f) == "MIForest(z2 . z4^2)"
+    assert repr(DiagForest.empty()) == "DiagForest(1)"
+    triple = canonicalize(Diagram(2, [(0, 1)] * 3))
+    assert str(DiagForest.of(triple, triple)) == "n=2; e=1-2,1-2,1-2 . n=2; e=1-2,1-2,1-2"
+
+
+def test_multiplicative_on_the_empty_forest_is_the_unit():
+    unit = LinComb.single(Forest.empty())
+    calls = []
+    out = multiplicative(calls.append, Forest.empty().parts(), unit, Forest.merge)
+    assert out is unit and calls == []
+
+
+def test_multiplicative_on_two_parts_multiplies_the_images():
+    def fn(part):
+        return LinComb([(Forest.of(part), 2), (Forest.of(part + "'"), -1)])
+
+    unit = LinComb.single(Forest.empty())
+    out = multiplicative(fn, Forest.of("a", "b").parts(), unit, Forest.merge)
+    assert out == LinComb(
+        [
+            (Forest.of("a", "b"), 4),
+            (Forest.of("a", "b'"), -2),
+            (Forest.of("a'", "b"), -2),
+            (Forest.of("a'", "b'"), 1),
+        ]
+    )
+
+
+def test_public_api_is_pinned():
+    assert bphz.__all__ == [
+        "CanonDiagram",
+        "Character",
+        "DegreeParams",
+        "DiagForest",
+        "Diagram",
+        "KernelSpec",
+        "LinComb",
+        "MIForest",
+        "MultiIndex",
+        "RenormOutput",
+        "Rule",
+        "SymbolicValue",
+        "adjoint_phi_P_check",
+        "antipode_F",
+        "antipode_M",
+        "apply_D",
+        "as_scalar",
+        "bphz_F",
+        "bphz_M",
+        "canonicalize",
+        "character_inverse",
+        "commuting_square_check",
+        "convolve",
+        "convolve_F",
+        "coproduct_full",
+        "coproduct_full_F",
+        "coproduct_full_forest",
+        "coproduct_reduced",
+        "coproduct_reduced_F",
+        "counterterms",
+        "counting_map",
+        "cumulant_series",
+        "cut_vertex",
+        "degree",
+        "enumerate_pairings",
+        "graft",
+        "hat_antipode_M",
+        "hat_sym_factor",
+        "in_negative_part_F",
+        "in_negative_part_M",
+        "insert",
+        "insert_F",
+        "is_divergent",
+        "is_populatable",
+        "iter_connected_diagrams",
+        "iter_monomials_within",
+        "lift_P",
+        "lift_P_forest",
+        "moment_oracle",
+        "morphism_insert_check",
+        "morphism_star_check",
+        "orbit_stabilizer_check",
+        "phi4_couplings",
+        "phi4_report",
+        "pi_character_F",
+        "pi_character_M",
+        "renorm_map",
+        "renorm_map_forest",
+        "renorm_map_output",
+        "resummation_check",
+        "simultaneous_insert",
+        "simultaneous_insert_F",
+        "sym_factor",
+        "sym_factor_forest",
+        "sample_kernel",
+        "upsilon",
+        "value_F_numeric",
+        "value_F_symbolic",
+        "value_M",
+        "value_M_recursive",
+    ]

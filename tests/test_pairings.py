@@ -6,8 +6,8 @@ Core claims:
       vertices in 2^3 = 8 (the labeled triangles)
     - multiplicity-matrix enumeration reproduces the same totals through
       the prod k! / prod m! counting formula
-    - connectivity and degree-feasibility predicates agree with small
-      hand-checked instances
+    - the component helper and the connected-realization predicate agree
+      with small hand-checked instances
     - the degree criterion for a connected loopless realization agrees with
       exhaustive matching search on every sequence of at most 5 vertices,
       degrees at most 5 and at most 12 half-edges
@@ -18,9 +18,7 @@ from itertools import combinations_with_replacement
 
 from bphz.pairings import (
     components,
-    connected,
     connected_realization_exists,
-    degree_feasible_connected,
     iter_labeled_matchings,
     iter_multiplicity_matrices,
     matching_exists,
@@ -82,25 +80,23 @@ def test_matrix_edge_multisets_are_distinct():
 # -- connectivity helpers ----------------------------------------------------
 
 def test_connected_predicate():
-    assert connected(1, [])
-    assert connected(2, [(0, 1)])
-    assert not connected(3, [(0, 1)])
-    assert connected(3, [(0, 1), (1, 2)])
+    assert len(components(1, [])) == 1
+    assert len(components(2, [(0, 1)])) == 1
+    assert len(components(3, [(0, 1)])) != 1
+    assert len(components(3, [(0, 1), (1, 2)])) == 1
 
 
 def test_components_include_isolated_vertices():
     assert components(3, [(0, 1)]) == [[0, 1], [2]]
-
-
-def test_degree_feasibility():
-    assert degree_feasible_connected((0,))
-    assert not degree_feasible_connected((2,))
-    assert degree_feasible_connected((1, 1))
-    assert not degree_feasible_connected((3, 1))
-    assert degree_feasible_connected((6, 1, 1, 1, 1, 1, 1))
+    assert components(5, [(3, 4), (0, 3)]) == [[0, 3, 4], [1], [2]]
 
 
 def test_connected_realization():
+    assert connected_realization_exists((0,))
+    assert not connected_realization_exists((2,))
+    assert connected_realization_exists((1, 1))
+    assert not connected_realization_exists((3, 1))
+    assert connected_realization_exists((6, 1, 1, 1, 1, 1, 1))
     assert connected_realization_exists((2, 2))
     assert connected_realization_exists((2, 2, 2))
     assert not connected_realization_exists((1, 1, 1, 1))
@@ -111,7 +107,8 @@ def test_connected_realization():
 def _search_connected(degrees):
     """Oracle: exhaustive loopless-matching search for a connected one."""
     return any(
-        connected(len(degrees), matching) for matching in iter_labeled_matchings(degrees)
+        len(components(len(degrees), matching)) == 1
+        for matching in iter_labeled_matchings(degrees)
     )
 
 

@@ -12,15 +12,34 @@ Core claims (hand-checked oracles):
     - twisted subtraction goldens on z4^2 and the bridged diagram
     - subtraction equals the transport map of the inverse character
     - convolution is the identity against the counit
+    - both full coproducts are coassociative, (D x id) D = (id x D) D as
+      exact maps over forest triples: on every monomial with at most 10
+      half-edges and 4 vertices under rule {2,4} with trunks in the image
+      (ell=-1 at d=3 and d=4, ell=-3/2 at d=3), and on every connected
+      diagram with at most 6 edges at ell=-1 (d=3 and d=4)
 """
 
 from fractions import Fraction
 
 import pytest
 
-from bphz.feynman import DiagForest, Diagram, canonicalize
-from bphz.lincomb import LinComb
-from bphz.multiindex import DegreeParams, MIForest, MultiIndex, Rule
+from bphz.feynman import (
+    DiagForest,
+    Diagram,
+    canonicalize,
+    coproduct_full_F,
+    iter_connected_diagrams,
+)
+from bphz.lincomb import LinComb, apply_linear, multiplicative, product
+from bphz.multiindex import (
+    DegreeParams,
+    MIForest,
+    MultiIndex,
+    Rule,
+    coproduct_full,
+    coproduct_full_forest,
+    iter_monomials_within,
+)
 from bphz.renorm import (
     Character,
     RenormOutput,
@@ -249,3 +268,50 @@ def test_renorm_map_forest_is_multiplicative():
     assert merged.coeff(MIForest.empty()) == f(_m("z4^2")) ** 2
     two = single.coeff(MIForest.empty())
     assert merged.coeff(MIForest.of(_m("z4^2"))) == two + two
+
+
+# -- coassociativity ----------------------------------------------------------
+
+def _coassociative(cop: LinComb, cop_forest) -> bool:
+    """(D x id) D == (id x D) D as exact maps over forest triples."""
+    left = apply_linear(
+        lambda lr: product(cop_forest(lr[0]), LinComb.single(lr[1]), lambda ab, c: (*ab, c)),
+        cop,
+    )
+    right = apply_linear(
+        lambda lr: product(LinComb.single(lr[0]), cop_forest(lr[1]), lambda a, bc: (a, *bc)),
+        cop,
+    )
+    return dict(left.items()) == dict(right.items())
+
+
+def test_coproduct_full_is_coassociative():
+    cases = 0
+    for p in (P, DegreeParams(Fraction(-1), 4), DegreeParams(Fraction(-3, 2), 3)):
+        for m in iter_monomials_within(10, 4):
+            cop = coproduct_full(m, p, RULE, trunk_in_image=True)
+            assert _coassociative(
+                cop, lambda f: coproduct_full_forest(f, p, RULE, trunk_in_image=True)
+            ), (m, p)
+            cases += 1
+    assert cases == 279
+
+
+def test_coproduct_full_F_is_coassociative():
+    unit = LinComb.single((DiagForest.empty(), DiagForest.empty()))
+
+    def merge_pairs(a, b):
+        return a[0].merge(b[0]), a[1].merge(b[1])
+
+    cases = 0
+    for p in (P, DegreeParams(Fraction(-1), 4)):
+        for canon in iter_connected_diagrams(6):
+            cop = coproduct_full_F(canon.diagram, p)
+            assert _coassociative(
+                cop,
+                lambda f: multiplicative(
+                    lambda part: coproduct_full_F(part.diagram, p), f.parts(), unit, merge_pairs
+                ),
+            ), (canon, p)
+            cases += 1
+    assert cases == 312
