@@ -91,12 +91,15 @@ def test_components_include_isolated_vertices():
     assert components(5, [(3, 4), (0, 3)]) == [[0, 3, 4], [1], [2]]
 
 
-def test_connected_realization():
+def test_degree_feasibility():
     assert connected_realization_exists((0,))
     assert not connected_realization_exists((2,))
     assert connected_realization_exists((1, 1))
     assert not connected_realization_exists((3, 1))
     assert connected_realization_exists((6, 1, 1, 1, 1, 1, 1))
+
+
+def test_connected_realization():
     assert connected_realization_exists((2, 2))
     assert connected_realization_exists((2, 2, 2))
     assert not connected_realization_exists((1, 1, 1, 1))
