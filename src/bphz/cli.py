@@ -517,17 +517,24 @@ def _cmd_verify(args) -> int:
     p = _params(args)
     rule = _rule(args)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    failures = 0
-    total = 0
+    checks = []
+    total = failures = 0
     for name in names:
         for label, ok in _SUITES[name](args, p, rule):
             total += 1
-            if not ok:
-                failures += 1
-            sys.stdout.write("{}  {}\n".format("ok  " if ok else "FAIL", label))
-    sys.stdout.write(
-        "{} checks, {} failures\n".format(total, failures)
-    )
+            failures += not ok
+            if args.json:
+                checks.append({"label": label, "ok": bool(ok)})
+            else:
+                sys.stdout.write("{}  {}\n".format("ok  " if ok else "FAIL", label))
+    payload = {
+        "command": "verify",
+        "suite": args.suite,
+        "checks": checks,
+        "total": total,
+        "failures": failures,
+    }
+    _print(payload, ["{} checks, {} failures".format(total, failures)], args)
     return 1 if failures else 0
 
 

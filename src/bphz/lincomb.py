@@ -1,9 +1,11 @@
-"""Exact rational scalars, free-module linear combinations, and forests.
+"""Exact scalars, free-module linear combinations, and forests.
 
 Every algebraic output of this package is a finite linear combination of
 basis elements (monomials, forests, diagrams, tensor pairs) with exact
-rational coefficients.  ``LinComb`` is that free module: an immutable map
-from basis keys to nonzero ``Fraction`` values.
+coefficients.  ``LinComb`` is that free module: an immutable map from basis
+keys to nonzero coefficients.  Its coefficient ring is the class attribute
+``_coerce``: ``Fraction`` by default; a subclass swaps in another exact
+ring (``renorm.RenormOutput`` takes polynomials, ``SymbolicValue``).
 
 Both Hopf algebras are free commutative algebras on their connected
 pieces, so a basis element is a ``Forest``: a multiset of pieces whose
@@ -35,26 +37,30 @@ def as_scalar(value: RationalLike) -> Scalar:
 
 
 class LinComb(Generic[B]):
-    """Immutable finite linear combination with exact rational coefficients.
+    """Immutable finite linear combination with exact coefficients.
 
+    Coefficients pass through ``_coerce`` (``as_scalar`` here, so rationals).
     Zero coefficients are never stored; two combinations are equal iff
     they store the same key -> coefficient map.
     """
 
     __slots__ = ("_terms",)
 
+    _coerce = staticmethod(as_scalar)
+
     def __init__(self, terms: Mapping[B, RationalLike] | Iterable[Tuple[B, RationalLike]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[B, Scalar] = {}
+        coerce = self._coerce
+        acc: dict = {}
         for key, raw in items:
-            coef = as_scalar(raw)
+            coef = coerce(raw)
             if not coef:
                 continue
-            total = acc.get(key, Fraction(0)) + coef
+            total = acc[key] + coef if key in acc else coef
             if total:
                 acc[key] = total
             else:
-                acc.pop(key, None)
+                del acc[key]
         self._terms = acc
 
     @classmethod
@@ -65,8 +71,8 @@ class LinComb(Generic[B]):
     def single(cls, key: B, coef: RationalLike = 1) -> "LinComb[B]":
         return cls(((key, coef),))
 
-    def coeff(self, key: B) -> Scalar:
-        return self._terms.get(key, Fraction(0))
+    def coeff(self, key: B):
+        return self._terms[key] if key in self._terms else self._coerce(0)
 
     def items(self) -> Iterator[Tuple[B, Scalar]]:
         """Terms in canonical order (sorted by the key's string form)."""
@@ -92,12 +98,12 @@ class LinComb(Generic[B]):
     def __add__(self, other: "LinComb[B]") -> "LinComb[B]":
         merged = dict(self._terms)
         for key, coef in other._terms.items():
-            total = merged.get(key, Fraction(0)) + coef
+            total = merged[key] + coef if key in merged else coef
             if total:
                 merged[key] = total
             else:
-                merged.pop(key, None)
-        return _wrap(merged)
+                del merged[key]
+        return self._wrap(merged)
 
     def __sub__(self, other: "LinComb[B]") -> "LinComb[B]":
         return self + other.scale(-1)
@@ -106,10 +112,15 @@ class LinComb(Generic[B]):
         return self.scale(-1)
 
     def scale(self, factor: RationalLike) -> "LinComb[B]":
-        coef = as_scalar(factor)
+        coef = self._coerce(factor)
         if not coef:
-            return LinComb()
-        return _wrap({k: v * coef for k, v in self._terms.items()})
+            return type(self)()
+        return self._wrap({k: v * coef for k, v in self._terms.items()})
+
+    def _wrap(self, terms: dict) -> "LinComb[B]":
+        out = type(self)()
+        out._terms = terms
+        return out
 
     def __str__(self) -> str:
         if not self._terms:
@@ -117,10 +128,11 @@ class LinComb(Generic[B]):
         return " + ".join("{}*({})".format(coef, key) for key, coef in self.items())
 
     def __repr__(self) -> str:
+        name = type(self).__name__
         if not self._terms:
-            return "LinComb(0)"
+            return name + "(0)"
         parts = ["{}*{}".format(coef, key) for key, coef in self.items()]
-        return "LinComb(" + " + ".join(parts) + ")"
+        return name + "(" + " + ".join(parts) + ")"
 
     def to_json(self) -> list[dict]:
         """Sorted array of {key, num, den} with keys as canonical strings."""
@@ -128,12 +140,6 @@ class LinComb(Generic[B]):
             {"key": str(key), "num": coef.numerator, "den": coef.denominator}
             for key, coef in self.items()
         ]
-
-
-def _wrap(terms: dict) -> LinComb:
-    out: LinComb = LinComb()
-    out._terms = terms
-    return out
 
 
 def product(a, b, mul: Callable = lambda x, y: (x, y)):

@@ -9,14 +9,14 @@ symbols, so the result stays exact.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Tuple
+from typing import Callable, Iterable
 
 from . import feynman as fy
 from . import multiindex as mi
 from .feynman import CanonDiagram, DiagForest, Diagram
 from .lincomb import Forest, LinComb, apply_linear, multiplicative, product
 from .multiindex import DegreeParams, MIForest, MultiIndex, Rule
-from .symvalue import SymbolicValue
+from .symvalue import SymbolicValue, _coerce
 
 
 def in_negative_part_M(m: MultiIndex, p: DegreeParams) -> bool:
@@ -153,12 +153,6 @@ def antipode_F_forest(f: DiagForest, p: DegreeParams) -> LinComb[DiagForest]:
     )
 
 
-def _to_symbolic(value) -> SymbolicValue:
-    if isinstance(value, SymbolicValue):
-        return value
-    return SymbolicValue.constant(value)
-
-
 class Character:
     """Multiplicative functional on forests, valued in symbolic polynomials.
 
@@ -175,7 +169,7 @@ class Character:
     def on_component(self, comp) -> SymbolicValue:
         cached = self._memo.get(comp)
         if cached is None:
-            cached = _to_symbolic(self._fn(comp))
+            cached = _coerce(self._fn(comp))
             self._memo[comp] = cached
         return cached
 
@@ -201,77 +195,32 @@ def counit_M() -> Character:
     return Character(lambda comp: SymbolicValue.zero(), name="counit")
 
 
-class RenormOutput:
+class RenormOutput(LinComb):
     """Combination of basis forests with symbolic-polynomial coefficients."""
 
-    __slots__ = ("_items",)
+    __slots__ = ()
 
-    def __init__(self, items: Iterable[Tuple[object, SymbolicValue]] = ()):
-        acc: dict = {}
-        for key, value in items:
-            value = _to_symbolic(value)
-            if key in acc:
-                acc[key] = acc[key] + value
-            else:
-                acc[key] = value
-        self._items = tuple(
-            sorted(
-                ((k, v) for k, v in acc.items() if not v.is_zero()),
-                key=lambda kv: str(kv[0]),
-            )
-        )
-
-    @classmethod
-    def zero(cls) -> "RenormOutput":
-        return cls()
-
-    def items(self) -> tuple:
-        return self._items
-
-    def keys(self) -> tuple:
-        return tuple(k for k, _ in self._items)
-
-    def coeff(self, key) -> SymbolicValue:
-        for k, v in self._items:
-            if k == key:
-                return v
-        return SymbolicValue.zero()
-
-    def is_zero(self) -> bool:
-        return not self._items
-
-    def __add__(self, other: "RenormOutput") -> "RenormOutput":
-        return RenormOutput(self._items + other._items)
-
-    def scale(self, factor) -> "RenormOutput":
-        factor = _to_symbolic(factor)
-        return RenormOutput((k, v * factor) for k, v in self._items)
-
-    def map_keys(self, fn: Callable) -> "RenormOutput":
-        return RenormOutput((fn(k), v) for k, v in self._items)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RenormOutput):
-            return NotImplemented
-        return self._items == other._items
-
-    def __hash__(self) -> int:
-        return hash(self._items)
-
-    def __str__(self) -> str:
-        if not self._items:
-            return "0"
-        return " + ".join(
-            "({}) * [{}]".format(v, k) for k, v in self._items
-        )
-
-    def __repr__(self) -> str:
-        return "RenormOutput({})".format(str(self))
+    _coerce = staticmethod(_coerce)
 
     def to_json(self) -> list:
         return [
-            {"basis": str(k), "coefficient": str(v)} for k, v in self._items
+            {"basis": str(k), "coefficient": str(v)} for k, v in self.items()
         ]
+
+
+def _transport(weight: Callable, full: LinComb) -> RenormOutput:
+    """(weight tensor id) against a full coproduct: right legs weighted by
+    weight of their left leg."""
+    return RenormOutput(
+        (right, weight(left) * coef) for (left, right), coef in full.items()
+    )
+
+
+def _negative_part_only(weight: Callable, in_negative: Callable) -> Callable:
+    """weight, extended by zero to forests with a part off the negative part."""
+    return lambda left: (
+        weight(left) if all(map(in_negative, left.parts())) else SymbolicValue.zero()
+    )
 
 
 def bphz_M(
@@ -284,33 +233,23 @@ def bphz_M(
     one term per reduced extraction weighted by char of the antipode of
     the extracted forest.
     """
-    terms: list[tuple[object, SymbolicValue]] = [
-        (MIForest.of(m), SymbolicValue.one())
-    ]
-    constant = char.on_lincomb(antipode_M(m, p, rule))
-    terms.append((MIForest.empty(), constant))
-    reduced = mi.coproduct_reduced(m, p, rule, trunk_in_image=True)
-    for (forest, trunk), coef in reduced.items():
-        weight = char.on_lincomb(antipode_M_forest(forest, p, rule))
-        terms.append(
-            (MIForest.of(trunk), weight * SymbolicValue.constant(coef))
-        )
-    return RenormOutput(terms)
+    return _transport(
+        lambda left: char.on_lincomb(antipode_M_forest(left, p, rule)),
+        mi.coproduct_full(m, p, rule, trunk_in_image=True),
+    )
 
 
 def bphz_F(g: Diagram, char: Character, p: DegreeParams) -> RenormOutput:
-    """Twisted-antipode subtraction on a diagram."""
-    terms: list[tuple[object, SymbolicValue]] = [
-        (DiagForest.of(fy.canonicalize(g)), SymbolicValue.one())
-    ]
-    constant = char.on_lincomb(antipode_F(g, p, strict=True))
-    terms.append((DiagForest.empty(), constant))
-    for (forest, trunk), coef in fy.coproduct_reduced_F(g, p).items():
-        weight = char.on_lincomb(antipode_F_forest(forest, p))
-        terms.append(
-            (DiagForest.of(trunk), weight * SymbolicValue.constant(coef))
-        )
-    return RenormOutput(terms)
+    """Twisted-antipode subtraction on a diagram (the antipode taken as
+    zero off the negative part, so a convergent diagram has no constant
+    term)."""
+    return _transport(
+        _negative_part_only(
+            lambda left: char.on_lincomb(antipode_F_forest(left, p)),
+            lambda canon: in_negative_part_F(canon.diagram, p),
+        ),
+        fy.coproduct_full_F(g, p),
+    )
 
 
 def convolve(f: Character, g: Character, p: DegreeParams, rule: Rule) -> Character:
@@ -342,6 +281,8 @@ def convolve_F(f: Character, g: Character, p: DegreeParams) -> Character:
         for (forest, trunk), coef in fy.coproduct_reduced_F(
             canon.diagram, p
         ).items():
+            if not fy.is_divergent(trunk.diagram, p):
+                continue
             acc = acc + f(forest) * g(trunk) * SymbolicValue.constant(coef)
         return acc
 
@@ -369,17 +310,10 @@ def renorm_map(
     negative part, since characters extend by zero), and the reduced
     extraction terms weighted by f of the extracted forest.
     """
-    terms: list[tuple[object, SymbolicValue]] = [
-        (MIForest.of(m), SymbolicValue.one())
-    ]
-    if in_negative_part_M(m, p):
-        terms.append((MIForest.empty(), f(m)))
-    reduced = mi.coproduct_reduced(m, p, rule, trunk_in_image=True)
-    for (forest, trunk), coef in reduced.items():
-        terms.append(
-            (MIForest.of(trunk), f(forest) * SymbolicValue.constant(coef))
-        )
-    return RenormOutput(terms)
+    return _transport(
+        _negative_part_only(f, lambda part: in_negative_part_M(part, p)),
+        mi.coproduct_full(m, p, rule, trunk_in_image=True),
+    )
 
 
 def renorm_map_forest(

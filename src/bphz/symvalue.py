@@ -40,11 +40,11 @@ class SymbolicValue:
             if not coef:
                 continue
             key = _normalize_monomial(mono)
-            total = acc.get(key, Fraction(0)) + coef
+            total = acc[key] + coef if key in acc else coef
             if total:
                 acc[key] = total
             else:
-                acc.pop(key, None)
+                del acc[key]
         self._terms = tuple(sorted(acc.items()))
 
     @classmethod

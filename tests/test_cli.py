@@ -203,6 +203,20 @@ def test_verify_suite_passes(capsys):
     assert lines[-1].endswith("checks, 0 failures")
 
 
+def test_verify_json_lists_every_check(capsys):
+    argv = ("verify", "--suite", "orbit-stabilizer", "--max-edges", "4")
+    _, text, _ = run(capsys, *argv)
+    ok_lines = [line for line in text.splitlines() if line.startswith("ok  ")]
+    rc, payload = run_json(capsys, *argv, "--json")
+    assert rc == 0
+    assert payload["command"] == "verify"
+    assert payload["suite"] == "orbit-stabilizer"
+    assert payload["total"] == len(ok_lines) == len(payload["checks"])
+    assert payload["failures"] == 0
+    assert [check["label"] for check in payload["checks"]] == [line[4:].strip() for line in ok_lines]
+    assert all(check["ok"] is True for check in payload["checks"])
+
+
 def test_phi4_report(capsys):
     rc, out, _ = run(capsys, "phi4", "--max-n", "4")
     assert rc == 0

@@ -5,6 +5,9 @@ Core claims (hand-checked oracles):
       permutations: triple edge 12, double edge 4, quadruple edge 48,
       the bridged triple edge 12, the six-leaf star 720
     - canonical forms identify relabelings and never depend on input order
+      (property-tested on random relabelings with random edge orders of
+      every connected diagram with at most 5 edges, where aut_order also
+      meets a brute-force count over all vertex permutations)
     - counting map reads off vertex arities
     - extraction coproduct goldens: the bridged triple edge has exactly
       one divergent extraction; the two-triple chain has the 2/1 pattern;
@@ -16,9 +19,12 @@ Core claims (hand-checked oracles):
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bphz.lincomb import LinComb
 from bphz.multiindex import DegreeParams, MultiIndex, Rule
@@ -103,6 +109,48 @@ def test_canonical_form_is_labeling_independent():
     assert canonicalize(a) is canonicalize(b)
     assert canonicalize(a) is canonicalize(c)
     assert canonicalize(a).aut_order == 2
+
+
+DIAGRAMS_5 = sorted(iter_connected_diagrams(5))
+
+
+@st.composite
+def relabeled_diagrams(draw):
+    """A connected diagram with <= 5 edges and a random relabeling of it."""
+    canon = draw(st.sampled_from(DIAGRAMS_5))
+    g = canon.diagram
+    perm = draw(st.permutations(range(g.vertex_count)))
+    edges = [(perm[u], perm[v]) if draw(st.booleans()) else (perm[v], perm[u]) for u, v in g.edges]
+    return canon, Diagram(g.vertex_count, draw(st.permutations(edges)))
+
+
+def _brute_force_aut_order(g: Diagram) -> int:
+    """Vertex permutations fixing the edge multiset, times the parallel-edge factorials."""
+    edges = sorted(g.edges)
+    fixing = sum(
+        1
+        for perm in permutations(range(g.vertex_count))
+        if sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges) == edges
+    )
+    return fixing * prod(factorial(m) for m in g.multiplicity().values())
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+@PROPERTY
+@given(relabeled_diagrams())
+def test_canonical_key_is_relabeling_invariant(case):
+    canon, relabeled = case
+    assert canonicalize(relabeled).key == canon.key
+
+
+@PROPERTY
+@given(relabeled_diagrams())
+def test_aut_order_matches_brute_force(case):
+    canon, relabeled = case
+    assert canonicalize(relabeled).aut_order == _brute_force_aut_order(relabeled)
+    assert canon.aut_order == _brute_force_aut_order(canon.diagram)
 
 
 def test_counting_map_reads_arities():

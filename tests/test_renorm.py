@@ -11,7 +11,8 @@ Core claims (hand-checked oracles):
       rejects inputs outside the negative part
     - twisted subtraction goldens on z4^2 and the bridged diagram
     - subtraction equals the transport map of the inverse character
-    - convolution is the identity against the counit
+    - convolution is the identity against the counit; on diagrams it
+      drops extractions whose trunk is convergent
     - both full coproducts are coassociative, (D x id) D = (id x D) D as
       exact maps over forest triples: on every monomial with at most 10
       half-edges and 4 vertices under rule {2,4} with trunks in the image
@@ -51,6 +52,7 @@ from bphz.renorm import (
     bphz_M,
     character_inverse,
     convolve,
+    convolve_F,
     counit_M,
     hat_antipode_M,
     in_negative_part_F,
@@ -234,6 +236,21 @@ def test_convolution_golden_values():
         assert fg(m) == f(m) + g(m), text
 
 
+def test_diagram_convolution_drops_convergent_trunks():
+    def sym(name):
+        return Character(lambda c: SymbolicValue.symbol("{}[{}]".format(name, c.key)), name=name)
+
+    f, g = sym("f"), sym("g")
+    fg = convolve_F(f, g, P)
+    # the only extraction leaves the double edge, of degree +1: no f * g term
+    gamma = canonicalize(Diagram.parse("n=3; e=1-2,1-3,2-3,2-3,2-3,2-3"))
+    assert fg(gamma) == f(gamma) + g(gamma)
+    # here the extraction leaves a divergent triple edge, which stays
+    host = canonicalize(Diagram.parse("n=3; e=1-3,1-3,1-3,2-3,2-3,2-3"))
+    triple = canonicalize(Diagram.parse("n=2; e=1-2,1-2,1-2"))
+    assert fg(host) == f(host) + g(host) + f(triple) * g(triple) * SymbolicValue.constant(2)
+
+
 def test_transport_composition_matches_convolution():
     f = Character(lambda m: SymbolicValue.symbol("f[{}]".format(m)), name="f")
     g = Character(lambda m: SymbolicValue.symbol("g[{}]".format(m)), name="g")
@@ -249,13 +266,24 @@ def test_transport_composition_matches_convolution():
 
 def test_renorm_output_algebra():
     a = SymbolicValue.symbol("a")
-    out = RenormOutput([(MIForest.of(_m("z4^2")), a)])
-    doubled = out + out
-    assert doubled.coeff(MIForest.of(_m("z4^2"))) == a + a
-    assert out.scale(SymbolicValue.constant(0)).is_zero()
-    renamed = out.map_keys(lambda k: str(k))
-    assert renamed.coeff("z4^2") == a
+    z42 = MIForest.of(_m("z4^2"))
+    out = RenormOutput([(z42, a)])
+    assert isinstance(out, LinComb)
+    assert (out + out).coeff(z42) == a + a
+    assert not out + (-out)
+    assert not out.scale(SymbolicValue.constant(0))
+    assert type(out.scale(SymbolicValue.constant(0))) is RenormOutput
+    assert out.coeff(MIForest.empty()) == SymbolicValue.zero()
     assert out.to_json() == [{"basis": "z4^2", "coefficient": "a"}]
+    assert RenormOutput([(z42, 2)]).coeff(z42) == SymbolicValue.constant(2)
+    with pytest.raises((ValueError, TypeError, ZeroDivisionError)):
+        RenormOutput([(z42, "not-a-number")])
+    unit = RenormOutput([(MIForest.empty(), SymbolicValue.one())])
+    assert type(product(out, unit, MIForest.merge)) is RenormOutput
+    assert product(out, unit, MIForest.merge) == out
+    doubled = apply_linear(lambda key: RenormOutput([(key, 2)]), out)
+    assert type(doubled) is RenormOutput
+    assert doubled == out.scale(2)
 
 
 def test_renorm_map_forest_is_multiplicative():
