@@ -360,63 +360,95 @@ def divergent_extractions(
 ) -> list[tuple[DiagForest, Diagram]]:
     """All proper divergent subgraph extractions with their contractions.
 
-    A subgraph is an edge subset; components must each have non-positive
-    degree, and any omitted edge internal to one component is a self-loop
-    after contraction, so such subsets are discarded.  Omitted parallel
-    copies of a taken edge always trigger that rule, hence subsets are
-    enumerated over whole parallel classes.  One list entry per edge
-    subset; callers accumulate isomorphism multiplicities.
+    An extraction keeps an edge subset whose components each have
+    non-positive degree, and contracts every component to one vertex.  An
+    omitted edge with both ends in one component would become a self-loop,
+    so each component keeps every edge between its vertices: it is the
+    subgraph induced on its vertex set.  Extractions are therefore exactly
+    the families of pairwise disjoint vertex blocks, each of at least two
+    vertices inducing a connected subgraph of non-positive degree, other
+    than the single block of all vertices (which would extract the whole
+    diagram).  A family maps to the edges inside its blocks, whose
+    components are the blocks again; an allowed edge subset maps back to
+    the vertex sets of its components, so the two are in bijection.
+
+    The blocks are found once per call over all vertex subsets, each
+    canonicalized once, and every family of disjoint blocks gives one list
+    entry; callers accumulate isomorphism multiplicities.
     """
-    mult = g.multiplicity()
-    class_edges = sorted(mult)
+    n = g.vertex_count
+    full = (1 << n) - 1
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    adjacent = [0] * n
+    for (u, v), m in g.multiplicity().items():
+        rows[u].append((1 << v, m))
+        rows[v].append((1 << u, m))
+        adjacent[u] |= 1 << v
+        adjacent[v] |= 1 << u
+    # deg = ell*|E| + d*(|V|-1) <= 0  iff  ell*|E| <= -d*(|V|-1)
+    ell_edges = [p.ell * k for k in range(g.edge_count() + 1)]
+    bound = [-p.d * (k - 1) for k in range(n + 1)]
+    inside = [0] * (full + 1)
+    blocks: list[tuple[int, CanonDiagram]] = []
+    for mask in range(1, full):
+        low = mask & -mask
+        rest = mask ^ low
+        count = inside[rest]
+        for bit, m in rows[low.bit_length() - 1]:
+            if rest & bit:
+                count += m
+        inside[mask] = count
+        size = mask.bit_count()
+        if size < 2 or ell_edges[count] > bound[size]:
+            continue
+        reached, frontier = low, low
+        while frontier:
+            grown = 0
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                grown |= adjacent[bit.bit_length() - 1]
+            frontier = grown & mask & ~reached
+            reached |= frontier
+        if reached != mask:
+            continue
+        local = {v: i for i, v in enumerate(v for v in range(n) if mask >> v & 1)}
+        piece = Diagram(
+            size,
+            [(local[u], local[v]) for u, v in g.edges if u in local and v in local],
+        )
+        blocks.append((mask, canonicalize(piece)))
+
     out: list[tuple[DiagForest, Diagram]] = []
-    for mask in range(1, (1 << len(class_edges)) - 1):
-        taken = [class_edges[i] for i in range(len(class_edges)) if mask >> i & 1]
-        sub_edges: list[Edge] = []
-        for e in taken:
-            sub_edges.extend([e] * mult[e])
-        touched = sorted({u for e in sub_edges for u in e})
-        comp_lists = [
-            comp
-            for comp in components(g.vertex_count, sub_edges)
-            if len(comp) > 1 or comp[0] in touched
-        ]
-        comp_of = {v: i for i, comp in enumerate(comp_lists) for v in comp}
-        omitted = [e for e in class_edges if e not in set(taken)]
-        if any(
-            u in comp_of and v in comp_of and comp_of[u] == comp_of[v]
-            for u, v in omitted
-        ):
-            continue
-        pieces: list[CanonDiagram] = []
-        divergent = True
-        for comp in comp_lists:
-            local = {v: i for i, v in enumerate(comp)}
-            comp_edges = [
-                (local[u], local[v]) for u, v in sub_edges if u in local and v in local
-            ]
-            piece = Diagram(len(comp), comp_edges)
-            if not is_divergent(piece, p):
-                divergent = False
-                break
-            pieces.append(canonicalize(piece))
-        if not divergent:
-            continue
-        remap: dict[int, int] = {}
-        for i, comp in enumerate(comp_lists):
-            for v in comp:
-                remap[v] = i
-        next_label = len(comp_lists)
-        for v in range(g.vertex_count):
-            if v not in remap:
-                remap[v] = next_label
-                next_label += 1
-        trunk_edges = []
-        for e in omitted:
-            for _ in range(mult[e]):
-                trunk_edges.append((remap[e[0]], remap[e[1]]))
-        trunk = Diagram(next_label, trunk_edges)
-        out.append((DiagForest(pieces), trunk))
+    chosen: list[tuple[int, CanonDiagram]] = []
+
+    def emit() -> None:
+        # Each block becomes one trunk vertex, then the vertices outside
+        # every block follow; an edge survives unless both ends lie in one
+        # block.
+        remap = [-1] * n
+        for label, (mask, _) in enumerate(chosen):
+            for v in range(n):
+                if mask >> v & 1:
+                    remap[v] = label
+        label = len(chosen)
+        for v in range(n):
+            if remap[v] < 0:
+                remap[v] = label
+                label += 1
+        trunk_edges = [(remap[u], remap[v]) for u, v in g.edges if remap[u] != remap[v]]
+        out.append((DiagForest(piece for _, piece in chosen), Diagram(label, trunk_edges)))
+
+    def extend(start: int, used: int) -> None:
+        for i in range(start, len(blocks)):
+            if blocks[i][0] & used:
+                continue
+            chosen.append(blocks[i])
+            emit()
+            extend(i + 1, used | blocks[i][0])
+            chosen.pop()
+
+    extend(0, 0)
     return out
 
 

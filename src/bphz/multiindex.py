@@ -502,7 +502,10 @@ def coproduct_reduced(
     with non-positive degree; right legs (trunks) are formal monomials,
     projected by the rule's support condition when a rule is given, and
     further restricted to populatable monomials when trunk_in_image is set
-    (the variant the renormalisation recursions consume).
+    (the variant the renormalisation recursions consume).  The trunk z0,
+    the whole of m contracted to one vertex, is left out: that extraction
+    is the primitive term m (x) 1 of the full coproduct, as on the diagram
+    side, where the whole diagram is never a proper extraction.
 
     The coefficient of forest (x) trunk is
 
@@ -613,8 +616,11 @@ def coproduct_reduced(
     choose(0, he_m, n_m - 1, [], 1, LinComb.single(MultiIndex.unit()))
 
     s_m = sym_factor(m)
+    z0 = MultiIndex.single(0)
     out: list[tuple[Tuple[MIForest, MultiIndex], Scalar]] = []
     for (forest, trunk), value in raw.items():
+        if trunk == z0:
+            continue
         if rule is not None and not rule.admits(trunk):
             continue
         if trunk_in_image and not _populatable_cached(trunk, 0):

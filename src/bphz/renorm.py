@@ -118,18 +118,14 @@ def hat_antipode_M_forest(
 _ANTIPODE_F_CACHE: dict = {}
 
 
-def antipode_F(
-    g: Diagram, p: DegreeParams, *, strict: bool = False
-) -> LinComb[DiagForest]:
+def antipode_F(g: Diagram, p: DegreeParams) -> LinComb[DiagForest]:
     """Recursive diagram antipode.
 
-    By default the recursion runs on any diagram; with strict=True the
-    result is zero outside the negative part, which is the form entering
-    the subtraction (extracted pieces are always divergent, so strictness
-    only matters at the top level).
+    The recursion runs on any diagram.  The subtraction takes it as zero
+    outside the negative part (`bphz_F` guards with `in_negative_part_F`);
+    extracted pieces are always divergent, so the guard only matters at
+    the top level.
     """
-    if strict and not in_negative_part_F(g, p):
-        return LinComb.zero()
     canon = fy.canonicalize(g)
     key = (canon, p)
     cached = _ANTIPODE_F_CACHE.get(key)
@@ -182,10 +178,12 @@ class Character:
         return self.on_component(x)
 
     def on_lincomb(self, comb: LinComb) -> SymbolicValue:
-        acc = SymbolicValue.zero()
-        for key, coef in comb.items():
-            acc = acc + self(key) * SymbolicValue.constant(coef)
-        return acc
+        """Linear extension: the sum of coef * self(key), built in one step."""
+        return SymbolicValue(
+            (mono, value * coef)
+            for key, coef in comb.items()
+            for mono, value in self(key).terms()
+        )
 
     def __repr__(self) -> str:
         return "Character({})".format(self.name or "anonymous")
@@ -266,7 +264,7 @@ def convolve(f: Character, g: Character, p: DegreeParams, rule: Rule) -> Charact
         for (forest, trunk), coef in reduced.items():
             if not mi.is_divergent(trunk, p):
                 continue
-            acc = acc + f(forest) * g(trunk) * SymbolicValue.constant(coef)
+            acc = acc + f(forest) * g(trunk) * coef
         return acc
 
     name = "({} * {})".format(f.name or "f", g.name or "g")
@@ -283,7 +281,7 @@ def convolve_F(f: Character, g: Character, p: DegreeParams) -> Character:
         ).items():
             if not fy.is_divergent(trunk.diagram, p):
                 continue
-            acc = acc + f(forest) * g(trunk) * SymbolicValue.constant(coef)
+            acc = acc + f(forest) * g(trunk) * coef
         return acc
 
     name = "({} * {})".format(f.name or "f", g.name or "g")

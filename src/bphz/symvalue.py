@@ -105,7 +105,12 @@ class SymbolicValue:
         return _coerce(other) + (-self)
 
     def __mul__(self, other: "SymbolicValue | RationalLike") -> "SymbolicValue":
-        other = _coerce(other)
+        if not isinstance(other, SymbolicValue):
+            # a rational factor scales the coefficients; monomials stay put
+            factor = as_scalar(other)
+            if not factor:
+                return SymbolicValue()
+            return SymbolicValue([(mono, coef * factor) for mono, coef in self._terms])
         out: list[Tuple[Monomial, Fraction]] = []
         for mono_a, coef_a in self._terms:
             for mono_b, coef_b in other._terms:

@@ -18,6 +18,7 @@ Core claims (hand-checked oracles):
       multiplicity-matrix enumeration
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial, prod
@@ -26,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bphz.bridge import lift_P
 from bphz.lincomb import LinComb
 from bphz.multiindex import DegreeParams, MultiIndex, Rule
 from bphz.pairings import components
@@ -39,6 +41,7 @@ from bphz.feynman import (
     counting_map,
     cut_vertex,
     degree,
+    divergent_extractions,
     graft,
     insert_F,
     is_divergent,
@@ -226,6 +229,72 @@ def test_full_coproduct_adds_primitive_terms():
         (DiagForest.of(canonicalize(III)), DiagForest.of(canonicalize(YII)))
     ) == 1
     assert len(full) == 3
+
+
+def _mask_loop_extractions(g: Diagram, p: DegreeParams) -> list:
+    """Brute-force oracle: every edge subset taken whole per parallel class.
+
+    A subset counts when no omitted class joins two vertices of one of its
+    components (that edge would become a self-loop) and every component
+    with at least two vertices is divergent.  Returns (forest, canonical
+    trunk) pairs, one per subset.
+    """
+    mult = g.multiplicity()
+    classes = sorted(mult)
+    out = []
+    for mask in range(1, (1 << len(classes)) - 1):
+        taken = [e for i, e in enumerate(classes) if mask >> i & 1]
+        omitted = [e for e in classes if e not in taken]
+        sub_edges = [e for e in taken for _ in range(mult[e])]
+        comps = [c for c in components(g.vertex_count, sub_edges) if len(c) > 1]
+        comp_of = {v: i for i, c in enumerate(comps) for v in c}
+        if any(comp_of.get(u, -1) == comp_of.get(v, -2) for u, v in omitted):
+            continue
+        pieces = []
+        for comp in comps:
+            local = {v: i for i, v in enumerate(comp)}
+            pieces.append(
+                Diagram(len(comp), [(local[u], local[v]) for u, v in sub_edges if u in local])
+            )
+        if not all(is_divergent(piece, p) for piece in pieces):
+            continue
+        labels = {v: i for i, c in enumerate(comps) for v in c}
+        rest = [v for v in range(g.vertex_count) if v not in labels]
+        labels.update((v, len(comps) + i) for i, v in enumerate(rest))
+        trunk = Diagram(
+            len(comps) + len(rest),
+            [(labels[u], labels[v]) for e in omitted for u, v in [e] * mult[e]],
+        )
+        out.append((DiagForest(canonicalize(x) for x in pieces), canonicalize(trunk)))
+    return out
+
+
+ORACLE_PARAMS = (
+    DegreeParams(Fraction(-1), 3),
+    DegreeParams(Fraction(-3, 2), 3),
+    DegreeParams(Fraction(-1), 4),
+)
+
+
+def _assert_extractions_match_oracle(g: Diagram) -> None:
+    for p in ORACLE_PARAMS:
+        got = Counter(
+            (forest, canonicalize(trunk)) for forest, trunk in divergent_extractions(g, p)
+        )
+        assert got == Counter(_mask_loop_extractions(g, p)), (str(g), p)
+
+
+def test_block_extractions_match_mask_loop_on_small_diagrams():
+    for canon in iter_connected_diagrams(7):
+        _assert_extractions_match_oracle(canon.diagram)
+
+
+def test_block_extractions_match_mask_loop_on_lifts():
+    for text in ("z4^4", "z4^5", "z2^3 z4^3"):
+        lifted = lift_P(MultiIndex.parse(text))
+        assert lifted
+        for canon in lifted.keys():
+            _assert_extractions_match_oracle(canon.diagram)
 
 
 # -- cutting and grafting --------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Core claims:
     - construction normalizes monomials and drops zero terms
-    - ring operations (+, -, *, integer powers) are exact
+    - ring operations (+, -, *, integer powers) are exact; a rational
+      factor scales the coefficients exactly as the constant polynomial does
     - substitution and evaluation agree with direct arithmetic
     - string form is canonical and deterministic
 """
@@ -63,3 +64,14 @@ def test_zero_coefficient_terms_drop():
     a = SymbolicValue.symbol("a")
     assert (a - a).is_zero()
     assert len((a - a).terms()) == 0
+
+
+def test_scalar_product_matches_constant_product():
+    a = SymbolicValue.symbol("a")
+    b = SymbolicValue.symbol("b")
+    p = a * a + b * SymbolicValue.constant(3) - SymbolicValue.one()
+    for factor in (Fraction(-2, 3), 5, "7/2", 1):
+        assert (p * factor).terms() == (p * SymbolicValue.constant(factor)).terms()
+        assert factor * p == p * factor
+    assert (p * 0).is_zero()
+    assert (SymbolicValue.zero() * 4).is_zero()
