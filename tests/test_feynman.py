@@ -12,6 +12,11 @@ Core claims (hand-checked oracles):
     - extraction coproduct goldens: the bridged triple edge has exactly
       one divergent extraction; the two-triple chain has the 2/1 pattern;
       triangles are primitive at (ell=-1, d=3)
+    - divergent extractions, enumerated as families of disjoint vertex
+      blocks, equal the brute-force loop over edge masks as (forest,
+      canonical trunk) multisets on every connected diagram with at most 7
+      edges and on the lifts of z4^4, z4^5 and z2^3 z4^3, at (ell, d) =
+      (-1, 3), (-3/2, 3) and (-1, 4)
     - insertion golden: triple edge into double edge under rule {2,4}
       gives 4 copies of the bridged diagram; unruled adds 4 pinched ones
     - edge-by-edge enumeration agrees with an independent
