@@ -11,7 +11,6 @@ two sides together.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, prod
 from typing import Iterator, Tuple
 
@@ -139,6 +138,21 @@ def _census_key(
     return DiagForest(parts)
 
 
+def _census(arities: tuple[int, ...], connected_only: bool, free_legs: int) -> dict:
+    """Labeled pairing counts by bucket: the loop over (l, M) pairs."""
+    n = len(arities)
+    counts: dict = {}
+    for legs in _iter_leg_vectors(arities, free_legs):
+        subsets = prod(map(comb, arities, legs))
+        residual = [k - l for k, l in zip(arities, legs)]
+        for edges, count in pairings.iter_multiplicity_matrices(residual):
+            if connected_only and len(pairings.components(n, edges)) != 1:
+                continue
+            key = _census_key(arities, edges, legs, connected_only)
+            counts[key] = counts.get(key, 0) + subsets * count
+    return counts
+
+
 def enumerate_pairings(
     m: MultiIndex, connected_only: bool, free_legs: int = 0
 ) -> PairingOutcome:
@@ -160,41 +174,22 @@ def enumerate_pairings(
     """
     arities = m.arity_list()
     total = sum(arities)
-    counts: dict = {}
-    outcome = PairingOutcome(counts, connected_only, free_legs)
     if free_legs < 0 or free_legs > total or (total - free_legs) % 2:
-        return outcome
-    n = len(arities)
-    for legs in _iter_leg_vectors(arities, free_legs):
-        subsets = prod(map(comb, arities, legs))
-        residual = [k - l for k, l in zip(arities, legs)]
-        for edges, count in pairings.iter_multiplicity_matrices(residual):
-            if connected_only and len(pairings.components(n, edges)) != 1:
-                continue
-            key = _census_key(arities, edges, legs, connected_only)
-            counts[key] = counts.get(key, 0) + subsets * count
-    return outcome
+        return PairingOutcome({}, connected_only, free_legs)
+    return PairingOutcome(_census(arities, connected_only, free_legs), connected_only, free_legs)
 
 
 def lift_P(m: MultiIndex) -> LinComb[CanonDiagram]:
     """Lift to diagrams: sum of N(Gamma) * Gamma over connected pairings.
 
-    Computed from multiplicity matrices (the per-matrix labeled matching
-    count is a product of factorials), as `enumerate_pairings` is;
-    arity-0 vertices can never join a connected diagram, so
-    any monomial containing them lifts to zero.
+    The coefficients are the connected vacuum census of the pairing loop
+    that `enumerate_pairings` runs; arity-0 vertices can never join a
+    connected diagram, so any monomial containing them lifts to zero.
     """
     arities = m.arity_list()
-    n = len(arities)
-    if n == 0 or any(a == 0 for a in arities):
+    if not arities or 0 in arities:
         return LinComb.zero()
-    acc: dict[CanonDiagram, Fraction] = {}
-    for edges, count in pairings.iter_multiplicity_matrices(arities):
-        if len(pairings.components(n, edges)) != 1:
-            continue
-        key = canonicalize(Diagram(n, edges))
-        acc[key] = acc.get(key, Fraction(0)) + count
-    return LinComb(acc)
+    return LinComb(_census(arities, True, 0))
 
 
 def lift_P_forest(f: MIForest) -> LinComb[DiagForest]:

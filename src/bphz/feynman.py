@@ -4,7 +4,8 @@ Diagrams are connected multigraphs without self-loops in which every
 vertex carries at least one edge.  The module provides a deterministic
 canonical labeling with automorphism counting, the degree map, divergent
 subgraph extraction with contraction (the diagram-side coproduct), and
-the cut/graft insertion products adjoint to it.
+the simultaneous insertion product adjoint to it; single insertion is its
+one-part case.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import re
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
-from typing import Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 from .lincomb import Forest, LinComb, Scalar
 from .multiindex import DegreeParams, MIForest, MultiIndex, Rule
@@ -77,10 +78,6 @@ class Diagram:
             edges.append((u - 1, v - 1))
         return cls(n, edges)
 
-    @classmethod
-    def from_json(cls, payload: Mapping) -> "Diagram":
-        return cls(int(payload["n"]), [(u - 1, v - 1) for u, v in payload["e"]])
-
     def to_json(self) -> dict:
         return {"n": self._n, "e": [[u + 1, v + 1] for u, v in self._edges]}
 
@@ -94,9 +91,6 @@ class Diagram:
 
     def edge_count(self) -> int:
         return len(self._edges)
-
-    def arity(self, v: int) -> int:
-        return sum((u == v) + (w == v) for u, w in self._edges)
 
     def arities(self) -> tuple[int, ...]:
         degs = [0] * self._n
@@ -254,18 +248,12 @@ class CanonDiagram:
     def key(self) -> str:
         return self._key
 
-    def key_hex(self) -> str:
-        return self._key.encode("utf-8").hex()
-
     @property
     def diagram(self) -> Diagram:
         return self._diagram
 
     @property
     def aut_order(self) -> int:
-        return self._aut_order
-
-    def sym_factor(self) -> int:
         return self._aut_order
 
     def __eq__(self, other: object) -> bool:
@@ -308,32 +296,6 @@ class DiagForest(Forest):
         for part, count in self.counts():
             out *= factorial(count) * part.aut_order**count
         return out
-
-
-class HalfEdgeGraph:
-    """A diagram body (possibly edgeless, possibly disconnected) plus free legs.
-
-    Legs record the body vertex each cut edge was anchored at.  Produced by
-    cutting a vertex out of a diagram; consumed by grafting.
-    """
-
-    __slots__ = ("vertex_count", "body_edges", "legs")
-
-    def __init__(self, vertex_count: int, body_edges: Iterable[Sequence[int]], legs: Iterable[int]):
-        self.vertex_count = vertex_count
-        self.body_edges = _normalize_edges(body_edges)
-        self.legs = tuple(sorted(legs))
-        for anchor in self.legs:
-            if not (0 <= anchor < vertex_count):
-                raise ValueError("leg anchor out of range")
-        incident = {u for e in self.body_edges for u in e} | set(self.legs)
-        if len(incident) != vertex_count:
-            raise ValueError("every body vertex needs an edge or a leg")
-
-    def __repr__(self) -> str:
-        return "HalfEdgeGraph(n={}, edges={}, legs={})".format(
-            self.vertex_count, self.body_edges, self.legs
-        )
 
 
 def counting_map(g: Diagram | DiagForest) -> MultiIndex | MIForest:
@@ -480,62 +442,19 @@ def coproduct_full_F(
     return LinComb(acc)
 
 
-def cut_vertex(g: Diagram, v: int) -> HalfEdgeGraph:
-    """Remove a vertex; each removed edge leaves a leg at its other endpoint."""
-    if not (0 <= v < g.vertex_count):
-        raise ValueError("no such vertex")
-    relabel = {u: i for i, u in enumerate(w for w in range(g.vertex_count) if w != v)}
-    body_edges = [
-        (relabel[a], relabel[b]) for a, b in g.edges if a != v and b != v
-    ]
-    legs = []
-    for a, b in g.edges:
-        if a == v and b == v:
-            raise AssertionError("self-loop in diagram")
-        if a == v:
-            legs.append(relabel[b])
-        elif b == v:
-            legs.append(relabel[a])
-    return HalfEdgeGraph(g.vertex_count - 1, body_edges, legs)
-
-
 def _admits(g: Diagram, rule: Rule | None) -> bool:
     return rule is None or all(k in rule.arities for k in g.arities())
-
-
-def graft(
-    h: HalfEdgeGraph, target: Diagram, rule: Rule | None = None
-) -> LinComb[CanonDiagram]:
-    """Attach every leg of h to a target vertex, in all possible ways.
-
-    Each assignment of legs to target vertices (repetition allowed) yields
-    one merged diagram; the rule, when given, keeps only results whose
-    vertex arities all lie in the allowed set.
-    """
-    if not h.legs:
-        raise ValueError("graft needs at least one leg")
-    shift = h.vertex_count
-    base_edges = list(h.body_edges) + [(u + shift, v + shift) for u, v in target.edges]
-    acc: list[tuple[CanonDiagram, Scalar]] = []
-    for assignment in product(range(target.vertex_count), repeat=len(h.legs)):
-        edges = base_edges + [
-            (anchor, shift + w) for anchor, w in zip(h.legs, assignment)
-        ]
-        merged = Diagram(h.vertex_count + target.vertex_count, edges)
-        if not _admits(merged, rule):
-            continue
-        acc.append((canonicalize(merged), Fraction(1)))
-    return LinComb(acc)
 
 
 def insert_F(
     g1: Diagram, g2: Diagram, rule: Rule | None = None
 ) -> LinComb[CanonDiagram]:
-    """Insertion of g1 into g2: cut each vertex of g2, graft its legs onto g1."""
-    acc: LinComb[CanonDiagram] = LinComb.zero()
-    for v in range(g2.vertex_count):
-        acc = acc + graft(cut_vertex(g2, v), g1, rule)
-    return acc
+    """Insertion of g1 into g2: the one-part case of `simultaneous_insert_F`.
+
+    Each vertex of g2 is cut in turn and every edge it had to a survivor
+    is reattached at some vertex of g1, in all possible ways.
+    """
+    return simultaneous_insert_F(DiagForest.of(canonicalize(g1)), g2, rule)
 
 
 def simultaneous_insert_F(

@@ -70,13 +70,6 @@ class MultiIndex:
             acc[k] = acc.get(k, 0) + mult
         return cls(acc)
 
-    @classmethod
-    def from_json(cls, payload: Mapping) -> "MultiIndex":
-        return cls({int(k): int(v) for k, v in payload["beta"].items()})
-
-    def to_json(self) -> dict:
-        return {"beta": {str(k): mult for k, mult in self._entries}}
-
     def beta(self) -> dict[int, int]:
         return dict(self._entries)
 
@@ -218,11 +211,6 @@ class Rule:
         return ",".join(str(k) for k in sorted(self.arities))
 
 
-def norm(m: MultiIndex) -> int:
-    """Vertex count: sum of the multiplicities of beta."""
-    return m.norm()
-
-
 def sym_factor(m: MultiIndex) -> int:
     """S(z^beta) = prod_k beta(k)! * (k!)^beta(k)."""
     out = 1
@@ -285,14 +273,6 @@ def apply_D(p: LinComb[MultiIndex] | MultiIndex, times: int = 1) -> LinComb[Mult
     return comb
 
 
-def partial(k: int, m: MultiIndex) -> LinComb[MultiIndex]:
-    """d/dz_k z^beta = beta(k) * z^{beta - e_k} (possibly the empty monomial)."""
-    mult = m.get(k)
-    if not mult:
-        return LinComb.zero()
-    return LinComb.single(m.shift(k, -1), Fraction(mult))
-
-
 def _project_rule(comb: LinComb[MultiIndex], rule: Rule | None) -> LinComb[MultiIndex]:
     if rule is None:
         return comb
@@ -302,16 +282,11 @@ def _project_rule(comb: LinComb[MultiIndex], rule: Rule | None) -> LinComb[Multi
 def insert(b: MultiIndex, a: MultiIndex, rule: Rule | None = None) -> LinComb[MultiIndex]:
     """Insertion z^b |> z^a = sum_k (D^k z^b) * (d/dz_k z^a), rule-projected.
 
-    The rule, when present, keeps only result monomials whose support lies
-    inside the allowed arities (the trunk condition).
+    The one-part case of `simultaneous_insert`.  The rule, when present,
+    keeps only result monomials whose support lies inside the allowed
+    arities (the trunk condition).
     """
-    acc = LinComb.zero()
-    for k in a.support():
-        shifted = apply_D(b, k)
-        stripped = a.shift(k, -1)
-        for mono, coef in shifted.items():
-            acc = acc + LinComb.single(mono.mul(stripped), coef * a.get(k))
-    return _project_rule(acc, rule)
+    return simultaneous_insert(MIForest.of(b), a, rule)
 
 
 def _k_assignments(count: int, allowed: Sequence[int]) -> Iterator[tuple[dict[int, int], int]]:
@@ -359,16 +334,15 @@ def simultaneous_insert(
     For components (gamma_1, ..., gamma_n) the result sums over ordered
     (k_1, ..., k_n) the monomial (prod_i D^{k_i} gamma_i) times the iterated
     partial (prod_i d/dz_{k_i}) z^a; the rule, when present, projects the
-    result support.  Reduces to `insert` for a single component.
+    result support.  `insert` is the single-component case.
     """
     if f.is_empty():
         raise ValueError("simultaneous insertion needs a nonempty forest")
     supp = a.support()
     counts = f.counts()
-    acc = LinComb.zero()
+    acc: list[tuple[MultiIndex, Scalar]] = []
 
     def recurse(idx: int, taken: dict[int, int], poly: LinComb[MultiIndex], weight: int) -> None:
-        nonlocal acc
         if idx == len(counts):
             coef_partial = 1
             trunk = a
@@ -376,7 +350,7 @@ def simultaneous_insert(
                 coef_partial *= _falling(a.get(k), t)
                 trunk = trunk.shift(k, -t)
             for mono, coef in poly.items():
-                acc = acc + LinComb.single(mono.mul(trunk), coef * weight * coef_partial)
+                acc.append((mono.mul(trunk), coef * weight * coef_partial))
             return
         component, count = counts[idx]
         for tally, arrangements in _k_assignments(count, supp):
@@ -397,7 +371,7 @@ def simultaneous_insert(
             recurse(idx + 1, merged, extended, weight * arrangements)
 
     recurse(0, {}, LinComb.single(MultiIndex.unit()), 1)
-    return _project_rule(acc, rule)
+    return _project_rule(LinComb(acc), rule)
 
 
 def inner_product(a: MIForest | MultiIndex, b: MIForest | MultiIndex) -> Scalar:
@@ -641,6 +615,12 @@ def coproduct_full(
 
     Keys are pairs of forests so that the empty right leg of the term
     (m, empty) is representable; reduced trunks appear as singletons.
+
+    The default (formal trunks) is the explicit-formula coproduct, e.g.
+    [z3^2] (x) [z2] for z4^2, and it is not coassociative, not even with
+    the middle factor projected onto divergent forests (z5^2 at ell=-1,
+    d=3 under rule {2,4} fails).  The Hopf-algebra coproduct, the one the
+    recursions use, is trunk_in_image=True.
     """
     acc: list[tuple[Tuple[MIForest, MIForest], Scalar]] = [
         ((MIForest.empty(), MIForest.of(m)), Fraction(1)),

@@ -206,18 +206,19 @@ class RenormOutput(LinComb):
         ]
 
 
-def _transport(weight: Callable, full: LinComb) -> RenormOutput:
+def _transport(weight: Callable, full: LinComb, negative: bool = True) -> RenormOutput:
     """(weight tensor id) against a full coproduct: right legs weighted by
-    weight of their left leg."""
+    weight of their left leg.
+
+    Off the negative part (negative False) the primitive term x (x) 1, the
+    one term whose right leg is empty, is weighted zero, since characters
+    extend by zero there.  No other left leg needs the test: the empty
+    forest, or forests of extracted parts, which are divergent (and
+    populatable) by construction.
+    """
     return RenormOutput(
-        (right, weight(left) * coef) for (left, right), coef in full.items()
-    )
-
-
-def _negative_part_only(weight: Callable, in_negative: Callable) -> Callable:
-    """weight, extended by zero to forests with a part off the negative part."""
-    return lambda left: (
-        weight(left) if all(map(in_negative, left.parts())) else SymbolicValue.zero()
+        (right, (weight(left) if negative or not right.is_empty() else SymbolicValue.zero()) * coef)
+        for (left, right), coef in full.items()
     )
 
 
@@ -242,11 +243,9 @@ def bphz_F(g: Diagram, char: Character, p: DegreeParams) -> RenormOutput:
     zero off the negative part, so a convergent diagram has no constant
     term)."""
     return _transport(
-        _negative_part_only(
-            lambda left: char.on_lincomb(antipode_F_forest(left, p)),
-            lambda canon: in_negative_part_F(canon.diagram, p),
-        ),
+        lambda left: char.on_lincomb(antipode_F_forest(left, p)),
         fy.coproduct_full_F(g, p),
+        in_negative_part_F(g, p),
     )
 
 
@@ -309,8 +308,7 @@ def renorm_map(
     extraction terms weighted by f of the extracted forest.
     """
     return _transport(
-        _negative_part_only(f, lambda part: in_negative_part_M(part, p)),
-        mi.coproduct_full(m, p, rule, trunk_in_image=True),
+        f, mi.coproduct_full(m, p, rule, trunk_in_image=True), in_negative_part_M(m, p)
     )
 
 

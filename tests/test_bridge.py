@@ -9,6 +9,8 @@ Core claims (hand-checked oracles):
     - lift goldens: P(z3^2)=6, P(z2^2)=2, P(z2 z4^2)=192, the three
       iso-classes of P(z4^4); anything containing an isolatable z0 lifts
       to zero
+    - the lift is the connected census on every monomial with at most 10
+      half-edges and 5 vertices
     - orbit-stabilizer identity S_M = N * S_F on every diagram up to 6 edges
     - the lift is adjoint to the counting map on small pairs
     - the extraction square commutes for small populatable monomials,
@@ -158,6 +160,13 @@ def test_lift_z4_4_three_classes():
     assert lifted.coeff(ring) == 62208
     assert lifted.coeff(mixed) == 248832
     assert len(lifted) == 3
+
+
+def test_lift_equals_connected_census():
+    monomials = list(iter_monomials_within(10, 5))
+    assert len(monomials) == 112
+    for m in monomials:
+        assert lift_P(m) == LinComb(enumerate_pairings(m, connected_only=True).counts), m
 
 
 def test_lift_forest_multiplies_components():

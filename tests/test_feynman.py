@@ -19,13 +19,17 @@ Core claims (hand-checked oracles):
       (-1, 3), (-3/2, 3) and (-1, 4)
     - insertion golden: triple edge into double edge under rule {2,4}
       gives 4 copies of the bridged diagram; unruled adds 4 pinched ones
+    - single insertion, the one-part simultaneous insertion, equals the
+      independent cut-a-vertex-and-graft-its-legs construction on every
+      pair of connected diagrams with at most 4 edges each and 7 in all,
+      with and without the rule {2,4}
     - edge-by-edge enumeration agrees with an independent
       multiplicity-matrix enumeration
 """
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial, prod
 
 import pytest
@@ -44,10 +48,8 @@ from bphz.feynman import (
     coproduct_full_F,
     coproduct_reduced_F,
     counting_map,
-    cut_vertex,
     degree,
     divergent_extractions,
-    graft,
     insert_F,
     is_divergent,
     iter_connected_diagrams,
@@ -302,24 +304,44 @@ def test_block_extractions_match_mask_loop_on_lifts():
             _assert_extractions_match_oracle(canon.diagram)
 
 
-# -- cutting and grafting --------------------------------------------------------------
+# -- insertion ------------------------------------------------------------------------
 
-def test_cut_vertex_exposes_legs():
-    h = cut_vertex(YII, 0)
-    assert h.vertex_count == 1
-    assert len(h.legs) == 2
-    assert not h.body_edges
+def _cut_graft_insert(g1: Diagram, g2: Diagram, rule) -> LinComb:
+    """Oracle: cut each vertex v of g2 and graft each of its edges onto g1.
+
+    The edges of v become legs at their other endpoints; every assignment
+    of legs to vertices of g1 (repetition allowed) is one merged diagram,
+    kept when its arities all lie in the rule.
+    """
+    acc = []
+    for v in range(g2.vertex_count):
+        survivors = [w for w in range(g2.vertex_count) if w != v]
+        label = {w: i for i, w in enumerate(survivors)}
+        shift = len(survivors)
+        body = [(label[a], label[b]) for a, b in g2.edges if v not in (a, b)]
+        body += [(shift + a, shift + b) for a, b in g1.edges]
+        legs = [label[b if a == v else a] for a, b in g2.edges if v in (a, b)]
+        for targets in product(range(g1.vertex_count), repeat=len(legs)):
+            merged = Diagram(
+                shift + g1.vertex_count,
+                body + [(anchor, shift + t) for anchor, t in zip(legs, targets)],
+            )
+            if rule is None or all(k in rule.arities for k in merged.arities()):
+                acc.append((canonicalize(merged), 1))
+    return LinComb(acc)
 
 
-def test_graft_enumerates_assignments():
-    h = cut_vertex(YII, 0)
-    got = graft(h, III, None)
-    pinched = canonicalize(Diagram.parse("n=3; e=1-2,1-2,1-2,1-3,1-3"))
-    assert got.coeff(canonicalize(BRIDGE)) == 2
-    assert got.coeff(pinched) == 2
-    assert len(got) == 2
-    ruled = graft(h, III, RULE)
-    assert ruled == LinComb.single(canonicalize(BRIDGE), 2)
+def test_insert_matches_cut_graft_oracle():
+    small = [canon.diagram for canon in iter_connected_diagrams(4)]
+    cases = 0
+    for g1 in small:
+        for g2 in small:
+            if g1.edge_count() + g2.edge_count() > 7:
+                continue
+            for rule in (None, RULE):
+                assert insert_F(g1, g2, rule) == _cut_graft_insert(g1, g2, rule), (g1, g2)
+                cases += 1
+    assert cases == 512
 
 
 def test_insert_golden():
@@ -334,8 +356,8 @@ def test_insert_golden():
 
 def test_simultaneous_insert_single_component_reduces():
     f = DiagForest.of(canonicalize(III))
-    assert simultaneous_insert_F(f, YII, None) == insert_F(III, YII, None)
-    assert simultaneous_insert_F(f, YII, RULE) == insert_F(III, YII, RULE)
+    assert simultaneous_insert_F(f, YII, None) == _cut_graft_insert(III, YII, None)
+    assert simultaneous_insert_F(f, YII, RULE) == _cut_graft_insert(III, YII, RULE)
 
 
 def test_simultaneous_insert_needs_enough_cut_sites():

@@ -7,11 +7,14 @@ Core claims:
     - product and apply_linear behave bilinearly / linearly
     - forests are sorted multisets whose equality is type-strict, and
       multiplicative extends a map on parts to forests
-    - the public API (bphz.__all__) is pinned
+    - the public API (bphz.__all__) is pinned, and every name the
+      benchmark tracer (bench/spans.py) wraps or counts still resolves
     - JSON round-trips coefficients as numerator/denominator pairs
 """
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -196,10 +199,8 @@ def test_public_api_is_pinned():
         "counterterms",
         "counting_map",
         "cumulant_series",
-        "cut_vertex",
         "degree",
         "enumerate_pairings",
-        "graft",
         "hat_antipode_M",
         "hat_sym_factor",
         "in_negative_part_F",
@@ -235,3 +236,17 @@ def test_public_api_is_pinned():
         "value_M",
         "value_M_recursive",
     ]
+
+
+def test_bench_tracer_names_resolve():
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for short, functions in spans.SPANNED.items():
+        module = importlib.import_module("bphz." + short)
+        for name in functions:
+            assert callable(getattr(module, name, None)), "bphz.{}.{}".format(short, name)
+    for short, name in spans.COUNTED.items():
+        module = importlib.import_module("bphz." + short)
+        assert isinstance(getattr(module, name, None), type), "bphz.{}.{}".format(short, name)

@@ -10,6 +10,10 @@ Core claims (hand-checked oracles):
     - arity-raising operator: D(z3^2) = 2 z3 z4,
       D^2(z3^2) = 2 z4^2 + 2 z3 z5
     - insertion golden: z3^2 into z2^2 under rule {2,4} is 4 z2 z4^2
+    - single insertion, the one-part simultaneous insertion, equals the
+      formula sum_k (D^k z^b) * (d/dz_k z^a) on every pair of
+      iter_monomials_within(10, 4) x iter_monomials_within(8, 3), with and
+      without the rule {2,4}
     - extraction candidates: the arity cone of m keeps exactly those
       monomials of the global scan (every populatable divergent monomial
       within m's half-edge and vertex counts) with some D^k image dividing m
@@ -19,6 +23,7 @@ Core claims (hand-checked oracles):
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -195,10 +200,39 @@ def test_insert_golden_matches_diagram_side():
     assert len(unruled) == 2
 
 
+@lru_cache(maxsize=None)
+def _D_power(b, k):
+    return LinComb.single(b) if k == 0 else apply_D(_D_power(b, k - 1))
+
+
+def _insert_formula(b, a, rule):
+    """Oracle: sum_k (D^k z^b) * (d/dz_k z^a), kept where the rule admits it."""
+    acc = []
+    for k in a.support():
+        stripped = a.shift(k, -1)
+        for mono, coef in _D_power(b, k).items():
+            product = mono.mul(stripped)
+            if rule is None or rule.admits(product):
+                acc.append((product, coef * a.get(k)))
+    return LinComb(acc)
+
+
+def test_insert_matches_formula():
+    trunks = list(iter_monomials_within(8, 3))
+    cases = 0
+    for b in iter_monomials_within(10, 4):
+        for a in trunks:
+            for rule in (None, RULE):
+                assert insert(b, a, rule) == _insert_formula(b, a, rule), (b, a, rule)
+                cases += 1
+    assert cases == 7440
+
+
 def test_simultaneous_insert_single_component_reduces():
     f = MIForest.of(_m("z3^2"))
     a = _m("z2^2")
-    assert simultaneous_insert(f, a, RULE) == insert(_m("z3^2"), a, RULE)
+    for rule in (None, RULE):
+        assert simultaneous_insert(f, a, rule) == _insert_formula(_m("z3^2"), a, rule)
 
 
 # -- extraction candidates ------------------------------------------------------

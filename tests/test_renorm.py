@@ -23,6 +23,8 @@ Core claims (hand-checked oracles):
       rule {2,4}; elsewhere at ell=-3/2 a divergent subgraph can have a
       convergent quotient (n=4; e=1-2,2-4,3-4,3-4,3-4 is pinned)
     - without a rule, the whole of z4^2 is not extracted to a z0 trunk
+    - with formal trunks (the default of `coproduct_full`) even the
+      projected identity fails: z5^2 at ell=-1, d=3 under rule {2,4}
 """
 
 from fractions import Fraction
@@ -351,10 +353,12 @@ def _coassociative(cop: LinComb, cop_forest, middle=None) -> bool:
     return kept(left) == kept(right)
 
 
-def _monomial_coassociative(m: MultiIndex, p: DegreeParams, rule, projected: bool) -> bool:
+def _monomial_coassociative(
+    m: MultiIndex, p: DegreeParams, rule, projected: bool, trunk_in_image: bool = True
+) -> bool:
     return _coassociative(
-        coproduct_full(m, p, rule, trunk_in_image=True),
-        lambda f: coproduct_full_forest(f, p, rule, trunk_in_image=True),
+        coproduct_full(m, p, rule, trunk_in_image=trunk_in_image),
+        lambda f: coproduct_full_forest(f, p, rule, trunk_in_image=trunk_in_image),
         (lambda part: is_divergent(part, p)) if projected else None,
     )
 
@@ -418,3 +422,13 @@ def test_unruled_z4_squared_has_no_z0_trunk():
         [((MIForest.empty(), MIForest.of(m)), 1), ((MIForest.of(m), MIForest.empty()), 1)]
     )
     assert _monomial_coassociative(m, p, None, projected=False)
+
+
+def test_formal_trunks_are_not_coassociative():
+    # the default formal-trunk coproduct (what `bphz coproduct --full` prints)
+    # is the explicit formula, not the Hopf-algebra coproduct: even with the
+    # middle factor projected it fails on z5^2, where the populatable
+    # variant the recursions consume holds
+    m = _m("z5^2")
+    assert not _monomial_coassociative(m, P, RULE, projected=True, trunk_in_image=False)
+    assert _monomial_coassociative(m, P, RULE, projected=True)
