@@ -5,14 +5,17 @@ basis elements (monomials, forests, diagrams, tensor pairs) with exact
 coefficients.  ``LinComb`` is that free module: an immutable map from basis
 keys to nonzero coefficients.  Its coefficient ring is the class attribute
 ``_coerce``: ``Fraction`` by default; a subclass swaps in another exact
-ring (``renorm.RenormOutput`` takes polynomials, ``SymbolicValue``).
+ring (``renorm.RenormOutput`` takes polynomials, ``SymbolicValue``, which
+is itself the rational ``LinComb`` over generator monomials).
 
 Both Hopf algebras are free commutative algebras on their connected
 pieces, so a basis element is a ``Forest``: a multiset of pieces whose
 product is the multiset union.  ``product`` is the bilinear product of two
 combinations and ``multiplicative`` extends a map on pieces to forests;
-both read only ``items()`` and the combination's constructor, so they
-serve any coefficient ring.
+both serve any coefficient ring and any key product (forest union,
+monomial multiplication).  They and ``apply_linear`` walk the stored
+terms unsorted: coefficients are exact, so the summation order cannot
+change a result.
 
 Basis keys may be any hashable objects whose ``str`` form is canonical
 (equal objects print identically, distinct objects print distinctly);
@@ -21,8 +24,9 @@ serialization and ordering rely on it.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Callable, Generic, Hashable, Iterable, Iterator, Mapping, Tuple, TypeVar
+from typing import Callable, Generic, Hashable, Iterable, Iterator, Tuple, TypeVar
 
 Scalar = Fraction
 
@@ -41,7 +45,7 @@ class LinComb(Generic[B]):
 
     Coefficients pass through ``_coerce`` (``as_scalar`` here, so rationals).
     Zero coefficients are never stored; two combinations are equal iff
-    they store the same key -> coefficient map.
+    they are of the same class and store the same key -> coefficient map.
     """
 
     __slots__ = ("_terms",)
@@ -88,7 +92,7 @@ class LinComb(Generic[B]):
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinComb):
+        if type(other) is not type(self):
             return NotImplemented
         return self._terms == other._terms
 
@@ -115,6 +119,8 @@ class LinComb(Generic[B]):
         coef = self._coerce(factor)
         if not coef:
             return type(self)()
+        if coef == 1:
+            return self
         return self._wrap({k: v * coef for k, v in self._terms.items()})
 
     def _wrap(self, terms: dict) -> "LinComb[B]":
@@ -144,7 +150,9 @@ class LinComb(Generic[B]):
 
 def product(a, b, mul: Callable = lambda x, y: (x, y)):
     """Bilinear product: keys combine through mul (default: paired), coefficients multiply."""
-    return type(a)((mul(ka, kb), ca * cb) for ka, ca in a.items() for kb, cb in b.items())
+    return type(a)(
+        (mul(ka, kb), ca * cb) for ka, ca in a._terms.items() for kb, cb in b._terms.items()
+    )
 
 
 def multiplicative(fn: Callable, parts: Iterable, unit, mul: Callable):
@@ -159,8 +167,8 @@ def apply_linear(f: Callable, a):
     """Linear extension of a basis map: sum of coeff * f(key)."""
     return type(a)(
         (out_key, out_coef * coef)
-        for key, coef in a.items()
-        for out_key, out_coef in f(key).items()
+        for key, coef in a._terms.items()
+        for out_key, out_coef in f(key)._terms.items()
     )
 
 

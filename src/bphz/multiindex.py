@@ -11,12 +11,13 @@ formula.  Everything is exact.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
-from typing import Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 from . import pairings
 from .lincomb import Forest, LinComb, RationalLike, Scalar, as_scalar, multiplicative

@@ -170,12 +170,15 @@ class Character:
         return cached
 
     def __call__(self, x) -> SymbolicValue:
-        if isinstance(x, Forest):
-            acc = SymbolicValue.one()
-            for part in x.parts():
-                acc = acc * self.on_component(part)
-            return acc
-        return self.on_component(x)
+        if not isinstance(x, Forest):
+            return self.on_component(x)
+        parts = x.parts()
+        if not parts:
+            return SymbolicValue.one()
+        acc = self.on_component(parts[0])
+        for part in parts[1:]:
+            acc = acc * self.on_component(part)
+        return acc
 
     def on_lincomb(self, comb: LinComb) -> SymbolicValue:
         """Linear extension: the sum of coef * self(key), built in one step."""

@@ -94,20 +94,16 @@ def sample_kernel(d: int = 1, N: int = 4) -> KernelSpec:
 _LATTICE_LIMIT = 2_000_000
 
 
-def _pi_symbol(canon: CanonDiagram) -> SymbolicValue:
-    return SymbolicValue.symbol("Pi[{}]".format(canon.key))
+def _pi_name(canon: CanonDiagram) -> str:
+    return "Pi[{}]".format(canon.key)
 
 
-def value_F_symbolic(g: Diagram | CanonDiagram | DiagForest) -> SymbolicValue:
-    """Formal value: one generator per isomorphism class, forests multiply."""
-    if isinstance(g, DiagForest):
-        acc = SymbolicValue.one()
-        for part in g.parts():
-            acc = acc * _pi_symbol(part)
-        return acc
+def value_F_symbolic(g: Diagram | CanonDiagram) -> SymbolicValue:
+    """Formal value: one generator per isomorphism class (forests go
+    through ``Character``, which multiplies the parts)."""
     if isinstance(g, Diagram):
         g = fy.canonicalize(g)
-    return _pi_symbol(g)
+    return SymbolicValue.symbol(_pi_name(g))
 
 
 _NUMERIC_CACHE: dict = {}
@@ -150,28 +146,15 @@ def value_F_numeric(g: Diagram | CanonDiagram | DiagForest, kernel: KernelSpec) 
     return result
 
 
-def value_M(m: MultiIndex | MIForest, kernel: KernelSpec | None = None):
+def value_M(m: MultiIndex, kernel: KernelSpec | None = None):
     """Monomial value through the lift: sum of N(Gamma) times the diagram value.
 
     Symbolic (polynomial in the diagram generators) without a kernel, a
-    float with one.  Forests multiply.
+    float with one.
     """
-    if isinstance(m, MIForest):
-        if kernel is None:
-            acc = SymbolicValue.one()
-            for part in m.parts():
-                acc = acc * value_M(part)
-            return acc
-        acc = 1.0
-        for part in m.parts():
-            acc *= value_M(part, kernel)
-        return acc
     lifted = lift_P(m)
     if kernel is None:
-        out = SymbolicValue.zero()
-        for canon, coef in lifted.items():
-            out = out + _pi_symbol(canon) * SymbolicValue.constant(coef)
-        return out
+        return SymbolicValue(((((_pi_name(canon), 1),), coef) for canon, coef in lifted.items()))
     return sum(
         (float(coef) * value_F_numeric(canon, kernel) for canon, coef in lifted.items()),
         start=0.0,

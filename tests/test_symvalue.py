@@ -1,18 +1,27 @@
 """Exact multivariate polynomials used for symbolic coefficients.
 
 Core claims:
-    - construction normalizes monomials and drops zero terms
-    - ring operations (+, -, *, integer powers) are exact; a rational
-      factor scales the coefficients exactly as the constant polynomial does
+    - a polynomial is the LinComb over normalized generator monomials:
+      construction merges equal monomials and drops zero terms, and
+      equality is type-strict (never equal to a rational LinComb)
+    - ring operations (+, -, *, integer powers) are exact and satisfy the
+      commutative-ring laws; a rational factor scales the coefficients
+      exactly as the constant polynomial does
     - substitution and evaluation agree with direct arithmetic
-    - string form is canonical and deterministic
+    - string form and terms() are canonical: sorted by monomial tuple,
+      independent of construction order
 """
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bphz.lincomb import LinComb
 from bphz.symvalue import SymbolicValue
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
 
 def test_constants_and_symbols():
@@ -75,3 +84,68 @@ def test_scalar_product_matches_constant_product():
         assert factor * p == p * factor
     assert (p * 0).is_zero()
     assert (SymbolicValue.zero() * 4).is_zero()
+
+
+def test_is_the_linear_combination_over_monomials():
+    one = SymbolicValue.one()
+    assert isinstance(one, LinComb)
+    assert one != LinComb.single(())
+    assert LinComb.single(()) != one
+
+
+def test_terms_sorted_by_monomial_not_text():
+    a = SymbolicValue.symbol("a")
+    b = SymbolicValue.symbol("b")
+    assert str(a ** 10 + a ** 2 + 3) == "3 + a^2 + a^10"
+    assert str(a ** 2 * b - a * b ** 11 + SymbolicValue.constant("1/2")) == "1/2 - a*b^11 + a^2*b"
+
+
+SYMBOLS = ("a", "b", "c")
+
+
+@st.composite
+def polynomial_terms(draw):
+    """Terms (monomial, coefficient) of a small polynomial in a, b, c."""
+    out = []
+    for _ in range(draw(st.integers(0, 4))):
+        exps = [draw(st.integers(0, 2)) for _ in SYMBOLS]
+        mono = tuple((name, e) for name, e in zip(SYMBOLS, exps) if e)
+        coef = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        out.append((mono, coef))
+    return out
+
+
+def _build(terms) -> SymbolicValue:
+    """Sum of the terms, each built from symbols by products."""
+    total = SymbolicValue.zero()
+    for mono, coef in terms:
+        term = SymbolicValue.constant(coef)
+        for name, exp in mono:
+            term = term * SymbolicValue.symbol(name) ** exp
+        total = total + term
+    return total
+
+
+@PROPERTY
+@given(polynomial_terms(), polynomial_terms(), polynomial_terms())
+def test_ring_laws(p_terms, q_terms, r_terms):
+    p, q, r = _build(p_terms), _build(q_terms), _build(r_terms)
+    assert p + q == q + p
+    assert p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p - p == SymbolicValue.zero()
+
+
+@PROPERTY
+@given(polynomial_terms(), st.randoms(use_true_random=False))
+def test_canonical_form_ignores_construction_order(terms, rng):
+    shuffled = list(terms)
+    rng.shuffle(shuffled)
+    p, q = _build(terms), _build(shuffled)
+    assert p == q
+    assert str(p) == str(q)
+    assert p.terms() == q.terms()
+    assert SymbolicValue(terms) == p
+    assert list(p.terms()) == sorted(p.terms())
