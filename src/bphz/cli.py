@@ -9,79 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 
-from . import bridge, feynman as fy, multiindex as mi, renorm, valuation
-from .feynman import DiagForest, Diagram
+from . import bridge, checks, feynman as fy, multiindex as mi, renorm, valuation
+from .feynman import Diagram
 from .lincomb import LinComb, as_scalar
 from .multiindex import DegreeParams, MIForest, MultiIndex, Rule
-from .symvalue import SymbolicValue
-
-
-class ExpressionError(ValueError):
-    """Syntax error carrying the byte offset of the offending input."""
-
-    def __init__(self, offset: int, reason: str):
-        self.offset = offset
-        self.reason = reason
-        super().__init__("syntax error at byte {}: {}".format(offset, reason))
-
-
-_MONO_TOKEN = re.compile(r"z\d+(\^\d+)?")
-_INT = re.compile(r"\d+")
-
-
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _scan_monomial(text: str, start: int, end: int) -> None:
-    pos = _skip_ws(text, start)
-    if pos >= end:
-        raise ExpressionError(pos, "expected a monomial")
-    while pos < end:
-        match = _MONO_TOKEN.match(text, pos)
-        if not match or match.end() > end:
-            raise ExpressionError(pos, "expected token like z4 or z4^2")
-        pos = _skip_ws(text, match.end())
-
-
-def _scan_diagram(text: str) -> None:
-    pos = _skip_ws(text, 0)
-    if not text.startswith("n=", pos):
-        raise ExpressionError(pos, "expected 'n='")
-    pos += 2
-    match = _INT.match(text, pos)
-    if not match:
-        raise ExpressionError(pos, "expected a vertex count")
-    pos = _skip_ws(text, match.end())
-    if pos >= len(text) or text[pos] != ";":
-        raise ExpressionError(pos, "expected ';' after the vertex count")
-    pos = _skip_ws(text, pos + 1)
-    if not text.startswith("e=", pos):
-        raise ExpressionError(pos, "expected 'e='")
-    pos += 2
-    while True:
-        pos = _skip_ws(text, pos)
-        match = _INT.match(text, pos)
-        if not match:
-            raise ExpressionError(pos, "expected an edge endpoint")
-        pos = match.end()
-        if pos >= len(text) or text[pos] != "-":
-            raise ExpressionError(pos, "expected '-' between endpoints")
-        match = _INT.match(text, pos + 1)
-        if not match:
-            raise ExpressionError(pos + 1, "expected an edge endpoint")
-        pos = _skip_ws(text, match.end())
-        if pos >= len(text):
-            return
-        if text[pos] != ",":
-            raise ExpressionError(pos, "expected ',' between edges")
-        pos += 1
+from .multiindex import ExpressionError  # noqa: F401  (importable from here too)
 
 
 def parse_expression(text: str) -> MultiIndex | MIForest | Diagram:
@@ -93,17 +28,9 @@ def parse_expression(text: str) -> MultiIndex | MIForest | Diagram:
     """
     stripped = text.strip()
     if stripped.startswith("n="):
-        _scan_diagram(text)
         return Diagram.parse(text)
-    if stripped == "1":
-        return MIForest.empty()
-    if "." in text:
-        pos = 0
-        for chunk in text.split("."):
-            _scan_monomial(text, pos, pos + len(chunk))
-            pos += len(chunk) + 1
+    if stripped == "1" or "." in text:
         return MIForest.parse(text)
-    _scan_monomial(text, 0, len(text))
     return MultiIndex.parse(text)
 
 
@@ -347,190 +274,25 @@ def _cmd_phi4(args) -> int:
     return 0 if ok else 1
 
 
-def _suite_orbit_stabilizer(args, p: DegreeParams, rule: Rule):
-    for canon in fy.iter_connected_diagrams(args.max_edges):
-        yield (
-            "orbit-stabilizer {}".format(canon.key),
-            bridge.orbit_stabilizer_check(canon.diagram),
-        )
-
-
-def _adjoint_inner_check(
-    comb: LinComb,
-    forest: DiagForest,
-    trunk,
-    gamma,
-    star: LinComb,
-) -> bool:
-    lhs = comb.coeff((forest, trunk)) * forest.sym_factor() * trunk.aut_order
-    rhs = star.coeff(gamma) * gamma.aut_order
-    return lhs == rhs
-
-
-def _suite_adjointness(args, p: DegreeParams, rule: Rule):
-    diagrams = list(fy.iter_connected_diagrams(args.max_edges))
-    star_cache: dict = {}
-
-    def star_of(forest: DiagForest, trunk) -> LinComb:
-        key = (forest, trunk)
-        if key not in star_cache:
-            star_cache[key] = fy.simultaneous_insert_F(forest, trunk.diagram, None)
-        return star_cache[key]
-
-    for gamma in diagrams:
-        comb = fy.coproduct_reduced_F(gamma.diagram, p)
-        ok = all(
-            _adjoint_inner_check(comb, forest, trunk, gamma, star_of(forest, trunk))
-            for (forest, trunk), _ in comb.items()
-        )
-        yield ("adjointness from coproduct {}".format(gamma.key), ok)
-
-    small = [c for c in diagrams if c.diagram.edge_count() <= 3]
-    divergent_small = [c for c in small if fy.is_divergent(c.diagram, p)]
-    forests = [DiagForest.of(c) for c in divergent_small]
-    forests += [
-        DiagForest.of(a, b)
-        for i, a in enumerate(divergent_small)
-        for b in divergent_small[i:]
-    ]
-    hosts = [c for c in diagrams if c.diagram.edge_count() <= 3]
-    for forest in forests:
-        for host in hosts:
-            star = star_of(forest, host)
-            comb_cache: dict = {}
-            ok = True
-            for gamma, _ in star.items():
-                if gamma.diagram.edge_count() > args.max_edges:
-                    continue
-                if gamma not in comb_cache:
-                    comb_cache[gamma] = fy.coproduct_reduced_F(gamma.diagram, p)
-                if not _adjoint_inner_check(
-                    comb_cache[gamma], forest, host, gamma, star
-                ):
-                    ok = False
-            yield ("adjointness from star [{}] into {}".format(forest, host.key), ok)
-
-
-def _suite_square(args, p: DegreeParams, rule: Rule):
-    for m in mi.iter_monomials_within(args.max_he, args.max_verts):
-        if not mi.is_populatable(m):
-            continue
-        yield (
-            "commuting square {}".format(m),
-            bridge.commuting_square_check(m, p, rule),
-        )
-
-
-def _suite_morphism(args, p: DegreeParams, rule: Rule):
-    small = list(fy.iter_connected_diagrams(3))
-    for g1 in small:
-        for g2 in small:
-            for r in (None, rule):
-                ok = bridge.morphism_insert_check(g1.diagram, g2.diagram, r)
-                yield (
-                    "insert morphism {} into {} rule={}".format(g1.key, g2.key, r),
-                    ok,
-                )
-    tiny = [c for c in small if c.diagram.edge_count() <= 2]
-    forests = [DiagForest.of(c) for c in tiny]
-    forests += [DiagForest.of(a, b) for a in tiny[:2] for b in tiny[:2]]
-    for forest in forests:
-        for g in small:
-            for r in (None, rule):
-                ok = bridge.morphism_star_check(forest, g.diagram, r)
-                yield (
-                    "star morphism [{}] into {} rule={}".format(forest, g.key, r),
-                    ok,
-                )
-
-
-def _suite_valuation(args, p: DegreeParams, rule: Rule):
-    kernel = valuation.sample_kernel()
-    for m in mi.iter_monomials_within(args.max_he, args.max_he):
-        if not mi.is_populatable(m):
-            continue
-        via_lift = sum(
-            (
-                float(coef) * valuation.value_F_numeric(canon, kernel)
-                for canon, coef in bridge.lift_P(m).items()
-            ),
-            start=0.0,
-        )
-        direct = valuation.value_M(m, kernel)
-        recursive = valuation.value_M_recursive(m, kernel)
-        scale = max(abs(via_lift), abs(direct), abs(recursive), 1e-30)
-        ok = (
-            abs(direct - recursive) <= 1e-9 * scale
-            and abs(direct - via_lift) <= 1e-9 * scale
-        )
-        yield ("valuation {}".format(m), ok)
-
-
-def _suite_hopf(args, p: DegreeParams, rule: Rule):
-    for m in mi.iter_monomials_within(10, 4):
-        if not renorm.in_negative_part_M(m, p):
-            continue
-        acc = renorm.antipode_M(m, p, rule) + LinComb.single(MIForest.of(m))
-        for (forest, trunk), coef in mi.coproduct_reduced(
-            m, p, rule, trunk_in_image=True
-        ).items():
-            part = renorm.antipode_M_forest(forest, p, rule)
-            acc = acc + LinComb(
-                ((fa.add(trunk), ca * coef) for fa, ca in part.items())
-            )
-        yield ("antipode identity {}".format(m), not acc)
-    for canon in fy.iter_connected_diagrams(4):
-        acc = renorm.antipode_F(canon.diagram, p) + LinComb.single(DiagForest.of(canon))
-        for (forest, trunk), coef in fy.coproduct_reduced_F(canon.diagram, p).items():
-            part = renorm.antipode_F_forest(forest, p)
-            acc = acc + LinComb(
-                ((fa.add(trunk), ca * coef) for fa, ca in part.items())
-            )
-        yield ("antipode identity {}".format(canon.key), not acc)
-
-    f = renorm.Character(
-        lambda m: SymbolicValue.symbol("f[{}]".format(m)), name="f"
-    )
-    g = renorm.Character(
-        lambda m: SymbolicValue.symbol("g[{}]".format(m)), name="g"
-    )
-    fg = renorm.convolve(f, g, p, rule)
-    for n in range(2, 7):
-        m = MultiIndex.single(4, n)
-        inner = renorm.renorm_map(g, m, p, rule)
-        composed = renorm.renorm_map_output(f, inner, p, rule)
-        direct = renorm.renorm_map(fg, m, p, rule)
-        yield ("transport composition z4^{}".format(n), composed == direct)
-
-
-_SUITES = {
-    "orbit-stabilizer": _suite_orbit_stabilizer,
-    "adjointness": _suite_adjointness,
-    "square": _suite_square,
-    "morphism": _suite_morphism,
-    "valuation": _suite_valuation,
-    "hopf": _suite_hopf,
-}
-
-
 def _cmd_verify(args) -> int:
     p = _params(args)
     rule = _rule(args)
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
-    checks = []
+    bounds = checks.Bounds(args.max_edges, args.max_he, args.max_verts)
+    names = list(checks.SUITES) if args.suite == "all" else [args.suite]
+    rows = []
     total = failures = 0
     for name in names:
-        for label, ok in _SUITES[name](args, p, rule):
+        for label, ok in checks.SUITES[name](p, rule, bounds):
             total += 1
             failures += not ok
             if args.json:
-                checks.append({"label": label, "ok": bool(ok)})
+                rows.append({"label": label, "ok": bool(ok)})
             else:
                 sys.stdout.write("{}  {}\n".format("ok  " if ok else "FAIL", label))
     payload = {
         "command": "verify",
         "suite": args.suite,
-        "checks": checks,
+        "checks": rows,
         "total": total,
         "failures": failures,
     }
@@ -585,10 +347,25 @@ def main(argv=None) -> int:
     sp.set_defaults(fn=_cmd_pairings)
 
     sp = sub.add_parser("verify", help="run a property suite; exit 1 on failure")
-    sp.add_argument("--suite", required=True, choices=sorted(_SUITES) + ["all"])
-    sp.add_argument("--max-edges", type=int, default=6)
-    sp.add_argument("--max-he", type=int, default=12)
-    sp.add_argument("--max-verts", type=int, default=4)
+    sp.add_argument("--suite", required=True, choices=sorted(checks.SUITES) + ["all"])
+    sp.add_argument(
+        "--max-edges",
+        type=int,
+        default=checks.Bounds.max_edges,
+        help="edge bound of orbit-stabilizer and adjointness",
+    )
+    sp.add_argument(
+        "--max-he",
+        type=int,
+        default=checks.Bounds.max_he,
+        help="half-edge bound of square; valuation's half-edge and vertex bound",
+    )
+    sp.add_argument(
+        "--max-verts",
+        type=int,
+        default=checks.Bounds.max_verts,
+        help="vertex bound of square (morphism and hopf use fixed ranges)",
+    )
     _add_common(sp)
     sp.set_defaults(fn=_cmd_verify)
 
@@ -606,9 +383,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ExpressionError as exc:
-        sys.stderr.write("error: {}\n".format(exc))
-        return 2
     except (ValueError, ZeroDivisionError) as exc:
         sys.stderr.write("error: {}\n".format(exc))
         return 2

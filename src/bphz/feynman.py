@@ -17,13 +17,12 @@ from math import factorial
 from typing import Iterable, Iterator, Sequence, Tuple
 
 from .lincomb import Forest, LinComb, Scalar
-from .multiindex import DegreeParams, MIForest, MultiIndex, Rule
+from .multiindex import DegreeParams, ExpressionError, MIForest, MultiIndex, Rule, _skip_ws
 from .pairings import components
 
 Edge = Tuple[int, int]
 
-_TEXT = re.compile(r"^n=(\d+);\s*e=(.*)$")
-_PAIR = re.compile(r"^(\d+)-(\d+)$")
+_INT = re.compile(r"\d+")
 
 
 def _normalize_edges(edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
@@ -60,23 +59,44 @@ class Diagram:
 
     @classmethod
     def parse(cls, text: str) -> "Diagram":
-        match = _TEXT.match(text.strip())
-        if not match:
-            raise ValueError("bad diagram text {!r}".format(text))
-        n = int(match.group(1))
-        body = match.group(2).strip()
-        if not body:
-            raise ValueError("diagram needs at least one edge")
+        """Parse 'n=3; e=1-2,1-3,2-3'-style text; endpoints count from 1.
+
+        Syntax errors are ExpressionErrors with the offending byte offset.
+        """
+        pos = _skip_ws(text, 0)
+        if not text.startswith("n=", pos):
+            raise ExpressionError(pos, "expected 'n='")
+        count = _INT.match(text, pos + 2)
+        if not count:
+            raise ExpressionError(pos + 2, "expected a vertex count")
+        if not text.startswith(";", count.end()):
+            raise ExpressionError(count.end(), "expected ';' after the vertex count")
+        pos = _skip_ws(text, count.end() + 1)
+        if not text.startswith("e=", pos):
+            raise ExpressionError(pos, "expected 'e='")
+        n = int(count.group())
         edges = []
-        for chunk in body.split(","):
-            pair = _PAIR.match(chunk.strip())
-            if not pair:
-                raise ValueError("bad edge token {!r}".format(chunk.strip()))
-            u, v = int(pair.group(1)), int(pair.group(2))
+        pos += 2
+        while True:
+            pos = _skip_ws(text, pos)
+            first = _INT.match(text, pos)
+            if not first:
+                raise ExpressionError(pos, "expected an edge endpoint")
+            if not text.startswith("-", first.end()):
+                raise ExpressionError(first.end(), "expected '-' between endpoints")
+            second = _INT.match(text, first.end() + 1)
+            if not second:
+                raise ExpressionError(first.end() + 1, "expected an edge endpoint")
+            u, v = int(first.group()), int(second.group())
             if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError("edge endpoint out of range in {!r}".format(chunk))
+                raise ValueError("edge endpoint out of range in {!r}".format(text[pos : second.end()]))
             edges.append((u - 1, v - 1))
-        return cls(n, edges)
+            pos = _skip_ws(text, second.end())
+            if pos == len(text):
+                return cls(n, edges)
+            if text[pos] != ",":
+                raise ExpressionError(pos, "expected ',' between edges")
+            pos += 1
 
     def to_json(self) -> dict:
         return {"n": self._n, "e": [[u + 1, v + 1] for u, v in self._edges]}
@@ -535,6 +555,8 @@ def iter_connected_diagrams(max_edges: int) -> Iterator[CanonDiagram]:
     adding an edge between existing vertices or an edge to one fresh
     vertex reaches everything.
     """
+    if max_edges < 1:
+        return
     seen: set[CanonDiagram] = set()
     frontier: list[CanonDiagram] = []
     single = canonicalize(Diagram(2, [(0, 1)]))

@@ -23,7 +23,23 @@ from . import pairings
 from .lincomb import Forest, LinComb, RationalLike, Scalar, as_scalar, multiplicative
 from .symvalue import SymbolicValue
 
-_TOKEN = re.compile(r"^z(\d+)(?:\^(\d+))?$")
+_TOKEN = re.compile(r"z(\d+)(?:\^(\d+))?")
+
+
+class ExpressionError(ValueError):
+    """Syntax error carrying the byte offset of the offending input."""
+
+    def __init__(self, offset: int, reason: str):
+        self.offset = offset
+        self.reason = reason
+        super().__init__("syntax error at byte {}: {}".format(offset, reason))
+
+
+def _skip_ws(text: str, pos: int, end: int | None = None) -> int:
+    end = len(text) if end is None else end
+    while pos < end and text[pos].isspace():
+        pos += 1
+    return pos
 
 
 class MultiIndex:
@@ -55,20 +71,31 @@ class MultiIndex:
 
     @classmethod
     def parse(cls, text: str) -> "MultiIndex":
-        """Parse 'z2 z4^2'-style monomial text (whitespace-separated tokens)."""
-        tokens = text.split()
-        if not tokens:
-            raise ValueError("empty monomial text")
+        """Parse 'z2 z4^2'-style monomial text (whitespace-separated tokens).
+
+        Syntax errors are ExpressionErrors with the offending byte offset.
+        """
+        return cls._parse_span(text, 0, len(text))
+
+    @classmethod
+    def _parse_span(cls, text: str, start: int, end: int) -> "MultiIndex":
+        """Parse text[start:end], reporting offsets into the whole text."""
+        pos = _skip_ws(text, start, end)
+        if pos == end:
+            raise ExpressionError(pos, "expected a monomial")
         acc: dict[int, int] = {}
-        for token in tokens:
-            match = _TOKEN.match(token)
+        while pos < end:
+            match = _TOKEN.match(text, pos, end)
             if not match:
-                raise ValueError("bad monomial token {!r}".format(token))
+                raise ExpressionError(pos, "expected token like z4 or z4^2")
+            if pos > start and not text[pos - 1].isspace():
+                raise ExpressionError(pos, "expected whitespace between tokens")
             k = int(match.group(1))
             mult = int(match.group(2) or 1)
             if mult < 1:
-                raise ValueError("bad multiplicity in token {!r}".format(token))
+                raise ExpressionError(match.start(2), "expected a positive multiplicity")
             acc[k] = acc.get(k, 0) + mult
+            pos = _skip_ws(text, match.end(), end)
         return cls(acc)
 
     def beta(self) -> dict[int, int]:
@@ -160,10 +187,15 @@ class MIForest(Forest):
 
     @classmethod
     def parse(cls, text: str) -> "MIForest":
-        text = text.strip()
-        if text == "1":
+        """Parse 'z2 . z3^2'-style forest text; '1' is the empty forest."""
+        if text.strip() == "1":
             return cls()
-        return cls(MultiIndex.parse(chunk) for chunk in text.split("."))
+        parts = []
+        start = 0
+        for chunk in text.split("."):
+            parts.append(MultiIndex._parse_span(text, start, start + len(chunk)))
+            start += len(chunk) + 1
+        return cls(parts)
 
     def product(self) -> MultiIndex:
         """Forget the partition: the product monomial of all components."""

@@ -13,7 +13,7 @@ from typing import Callable, Iterable
 
 from . import feynman as fy
 from . import multiindex as mi
-from .feynman import CanonDiagram, DiagForest, Diagram
+from .feynman import DiagForest, Diagram
 from .lincomb import Forest, LinComb, apply_linear, multiplicative, product
 from .multiindex import DegreeParams, MIForest, MultiIndex, Rule
 from .symvalue import SymbolicValue, _coerce
@@ -252,6 +252,22 @@ def bphz_F(g: Diagram, char: Character, p: DegreeParams) -> RenormOutput:
     )
 
 
+def _convolve(f: Character, g: Character, reduced: Callable, divergent: Callable) -> Character:
+    """f(x) + g(x) plus coef * f(forest) * g(trunk) over the reduced
+    coproduct terms of x whose trunk is divergent."""
+
+    def component_fn(x) -> SymbolicValue:
+        acc = f(x) + g(x)
+        for (forest, trunk), coef in reduced(x).items():
+            if not divergent(trunk):
+                continue
+            acc = acc + f(forest) * g(trunk) * coef
+        return acc
+
+    name = "({} * {})".format(f.name or "f", g.name or "g")
+    return Character(component_fn, name=name)
+
+
 def convolve(f: Character, g: Character, p: DegreeParams, rule: Rule) -> Character:
     """Convolution product of characters on the negative part.
 
@@ -259,35 +275,22 @@ def convolve(f: Character, g: Character, p: DegreeParams, rule: Rule) -> Charact
     the negative part: f(m) + g(m) plus the sum over reduced extractions
     with divergent populatable trunks of f(forest) * g(trunk).
     """
-
-    def component_fn(m: MultiIndex) -> SymbolicValue:
-        acc = f(m) + g(m)
-        reduced = mi.coproduct_reduced(m, p, rule, trunk_in_image=True)
-        for (forest, trunk), coef in reduced.items():
-            if not mi.is_divergent(trunk, p):
-                continue
-            acc = acc + f(forest) * g(trunk) * coef
-        return acc
-
-    name = "({} * {})".format(f.name or "f", g.name or "g")
-    return Character(component_fn, name=name)
+    return _convolve(
+        f,
+        g,
+        lambda m: mi.coproduct_reduced(m, p, rule, trunk_in_image=True),
+        lambda trunk: mi.is_divergent(trunk, p),
+    )
 
 
 def convolve_F(f: Character, g: Character, p: DegreeParams) -> Character:
     """Diagram-side convolution with the same negative-part projection."""
-
-    def component_fn(canon: CanonDiagram) -> SymbolicValue:
-        acc = f(canon) + g(canon)
-        for (forest, trunk), coef in fy.coproduct_reduced_F(
-            canon.diagram, p
-        ).items():
-            if not fy.is_divergent(trunk.diagram, p):
-                continue
-            acc = acc + f(forest) * g(trunk) * coef
-        return acc
-
-    name = "({} * {})".format(f.name or "f", g.name or "g")
-    return Character(component_fn, name=name)
+    return _convolve(
+        f,
+        g,
+        lambda canon: fy.coproduct_reduced_F(canon.diagram, p),
+        lambda trunk: fy.is_divergent(trunk.diagram, p),
+    )
 
 
 def character_inverse(f: Character, p: DegreeParams, rule: Rule) -> Character:

@@ -1,21 +1,23 @@
 """The acceptance gate: eleven criteria, one test and one verdict line each.
 
 Every expected value below is a frozen literal or an explicitly spelled
-out combination; the got side comes from the public API only.  Each test
-prints a single pass/FAIL line with its wall time (stdout stays visible
-because ``-s`` is in the default pytest options) and then asserts, so a
-plain ``pytest tests/test_acceptance.py`` doubles as the sign-off report.
+out combination; the got side comes from the public API only.  C6, C7,
+C9 and C10 run the suites and predicates of ``bphz.checks`` that
+``bphz verify`` runs, at their own ranges.  Each test prints a single
+pass/FAIL line with its wall time (stdout stays visible because ``-s`` is
+in the default pytest options) and then asserts, so a plain
+``pytest tests/test_acceptance.py`` doubles as the sign-off report.
 """
 
 import time
 from fractions import Fraction
 from math import factorial
 
-from bphz import bridge, feynman as fy, multiindex as mi, renorm, valuation
+from bphz import bridge, checks, feynman as fy, multiindex as mi, renorm, valuation
 from bphz.feynman import DiagForest, Diagram
 from bphz.lincomb import LinComb
 from bphz.multiindex import DegreeParams, MIForest, MultiIndex, Rule
-from bphz.renorm import Character, RenormOutput
+from bphz.renorm import RenormOutput
 from bphz.symvalue import SymbolicValue
 
 P = DegreeParams(Fraction(-1), 3)
@@ -204,53 +206,10 @@ def test_c05_counterterm_table():
 
 def test_c06_coproduct_star_adjointness_to_six_edges():
     start = time.perf_counter()
-    diagrams = list(fy.iter_connected_diagrams(6))
-    star_cache: dict = {}
-
-    def star_of(forest: DiagForest, trunk) -> LinComb:
-        key = (forest, trunk)
-        if key not in star_cache:
-            star_cache[key] = fy.simultaneous_insert_F(forest, trunk.diagram, None)
-        return star_cache[key]
-
-    ok = True
-    checked = 0
-    coproducts = {}
-    for gamma in diagrams:
-        coproducts[gamma] = fy.coproduct_reduced_F(gamma.diagram, P)
-        for (forest, trunk), coef in coproducts[gamma].items():
-            lhs = coef * forest.sym_factor() * trunk.aut_order
-            rhs = star_of(forest, trunk).coeff(gamma) * gamma.aut_order
-            ok = ok and lhs == rhs
-            checked += 1
-
-    divergent_small = [
-        c
-        for c in diagrams
-        if c.diagram.edge_count() <= 3 and fy.is_divergent(c.diagram, P)
-    ]
-    forests = [DiagForest.of(c) for c in divergent_small]
-    forests += [
-        DiagForest.of(a, b)
-        for i, a in enumerate(divergent_small)
-        for b in divergent_small[i:]
-    ]
-    hosts = [c for c in diagrams if c.diagram.edge_count() <= 3]
-    for forest in forests:
-        for host in hosts:
-            star = star_of(forest, host)
-            for gamma, _ in star.items():
-                if gamma.diagram.edge_count() > 6:
-                    continue
-                lhs = (
-                    coproducts[gamma].coeff((forest, host))
-                    * forest.sym_factor()
-                    * host.aut_order
-                )
-                rhs = star.coeff(gamma) * gamma.aut_order
-                ok = ok and lhs == rhs
-                checked += 1
-    ok = ok and len(diagrams) == 156 and checked == 29 + 22
+    rows = list(checks.adjointness_terms(P, max_edges=6))
+    checked = sum(len(verdicts) for _, verdicts in rows)
+    ok = all(all(verdicts) for _, verdicts in rows)
+    ok = ok and len(rows) == 156 + 16 and checked == 29 + 22
     elapsed = time.perf_counter() - start
     _verdict("C6  coproduct/star adjointness to six edges", ok, elapsed, 300)
     assert ok
@@ -259,15 +218,9 @@ def test_c06_coproduct_star_adjointness_to_six_edges():
 
 def test_c07_lifting_intertwines_the_two_coproducts():
     start = time.perf_counter()
-    ok = True
-    checked = 0
-    for m in mi.iter_monomials_within(12, 4):
-        if not mi.is_populatable(m):
-            continue
-        for rule in (None, RULE):
-            ok = ok and bridge.commuting_square_check(m, P, rule)
-            checked += 1
-    ok = ok and checked == 2 * 46
+    bounds = checks.Bounds(max_he=12, max_verts=4)
+    verdicts = [ok for rule in (None, RULE) for _, ok in checks.square(P, rule, bounds)]
+    ok = all(verdicts) and len(verdicts) == 2 * 46
     elapsed = time.perf_counter() - start
     _verdict("C7  lifting intertwines the coproducts", ok, elapsed, 300)
     assert ok
@@ -306,22 +259,9 @@ def test_c08_counting_map_is_a_morphism_for_insertion_and_star():
 
 def test_c09_three_valuations_agree_on_a_lattice_kernel():
     start = time.perf_counter()
-    kernel = valuation.sample_kernel(d=1, N=4)
-    ok = True
-    checked = 0
-    for m in mi.iter_monomials_within(8, 8):
-        if not mi.is_populatable(m):
-            continue
-        via_lift = 0.0
-        for canon, coef in bridge.lift_P(m).items():
-            via_lift += float(coef) * valuation.value_F_numeric(canon, kernel)
-        direct = valuation.value_M(m, kernel)
-        recursive = valuation.value_M_recursive(m, kernel)
-        scale = max(abs(via_lift), abs(direct), abs(recursive), 1e-30)
-        ok = ok and abs(direct - recursive) <= 1e-9 * scale
-        ok = ok and abs(direct - via_lift) <= 1e-9 * scale
-        checked += 1
-    ok = ok and checked == 19
+    bounds = checks.Bounds(max_he=8)
+    verdicts = [ok for _, ok in checks.valuation_agreement(P, RULE, bounds)]
+    ok = all(verdicts) and len(verdicts) == 19
     elapsed = time.perf_counter() - start
     _verdict("C9  valuations agree on a d=1 lattice kernel", ok, elapsed, 120)
     assert ok
@@ -330,37 +270,15 @@ def test_c09_three_valuations_agree_on_a_lattice_kernel():
 
 def test_c10_antipode_counit_identity_and_transport_composition():
     start = time.perf_counter()
-    ok = True
-    checked = 0
-    for m in mi.iter_monomials_within(14, 6):
-        if not renorm.in_negative_part_M(m, P):
-            continue
-        acc = renorm.antipode_M(m, P, RULE) + LinComb.single(MIForest.of(m))
-        for (forest, trunk), coef in mi.coproduct_reduced(
-            m, P, RULE, trunk_in_image=True
-        ).items():
-            part = renorm.antipode_M_forest(forest, P, RULE)
-            acc = acc + LinComb(((fa.add(trunk), ca * coef) for fa, ca in part.items()))
-        ok = ok and not acc
-        checked += 1
-    for canon in fy.iter_connected_diagrams(4):
-        acc = renorm.antipode_F(canon.diagram, P) + LinComb.single(DiagForest.of(canon))
-        for (forest, trunk), coef in fy.coproduct_reduced_F(canon.diagram, P).items():
-            part = renorm.antipode_F_forest(forest, P)
-            acc = acc + LinComb(((fa.add(trunk), ca * coef) for fa, ca in part.items()))
-        ok = ok and not acc
-        checked += 1
-
-    f = Character(lambda m: SymbolicValue.symbol("f[{}]".format(m)), name="f")
-    g = Character(lambda m: SymbolicValue.symbol("g[{}]".format(m)), name="g")
-    fg = renorm.convolve(f, g, P, RULE)
-    for n in range(2, 7):
-        inner = renorm.renorm_map(g, _z4(n), P, RULE)
-        composed = renorm.renorm_map_output(f, inner, P, RULE)
-        direct = renorm.renorm_map(fg, _z4(n), P, RULE)
-        ok = ok and composed == direct
-        checked += 1
-    ok = ok and checked == 18 + 20 + 5
+    verdicts = [
+        checks.antipode_identity(m, P, RULE)
+        for m in mi.iter_monomials_within(14, 6)
+        if renorm.in_negative_part_M(m, P)
+    ]
+    verdicts += [checks.antipode_identity(c, P) for c in fy.iter_connected_diagrams(4)]
+    composes = checks.transport_composition(P, RULE)
+    verdicts += [composes(_z4(n)) for n in range(2, 7)]
+    ok = all(verdicts) and len(verdicts) == 18 + 20 + 5
     elapsed = time.perf_counter() - start
     _verdict("C10 antipode counit identity and transport composition", ok, elapsed)
     assert ok

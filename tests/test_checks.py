@@ -1,0 +1,97 @@
+"""The shared sign-off predicates report False on planted faults.
+
+The acceptance gate and ``bphz verify`` both read their verdicts from
+``bphz.checks``, so each predicate there must be able to fail.  Every test
+first sees the predicate pass, then plants one fault with monkeypatch and
+sees it fail.  Faults in a module-level cache are planted in a copy of the
+cache, so values derived from the fault do not outlive the test.
+"""
+
+from fractions import Fraction
+
+from bphz import bridge, checks, cli, feynman as fy, renorm, valuation
+from bphz.feynman import Diagram
+from bphz.multiindex import DegreeParams, MultiIndex, Rule
+
+P = DegreeParams(Fraction(-1), 3)
+RULE = Rule.parse("2,4")
+Z32 = MultiIndex.parse("z3^2")
+TRIPLE = fy.canonicalize(Diagram.parse("n=2; e=1-2,1-2,1-2"))
+
+
+def _plant_in_cache(monkeypatch, name: str, key, antipode) -> None:
+    """Cache twice the antipode under key, in a private copy of the cache."""
+    cache = dict(getattr(renorm, name))
+    cache[key] = antipode.scale(2)
+    monkeypatch.setattr(renorm, name, cache)
+
+
+def test_antipode_identity_fails_on_a_perturbed_monomial_antipode(monkeypatch):
+    assert checks.antipode_identity(Z32, P, RULE)
+    _plant_in_cache(
+        monkeypatch, "_ANTIPODE_M_CACHE", (Z32, P, RULE), renorm.antipode_M(Z32, P, RULE)
+    )
+    assert not checks.antipode_identity(Z32, P, RULE)
+
+
+def test_antipode_identity_fails_on_a_perturbed_diagram_antipode(monkeypatch):
+    assert checks.antipode_identity(TRIPLE, P)
+    _plant_in_cache(
+        monkeypatch, "_ANTIPODE_F_CACHE", (TRIPLE, P), renorm.antipode_F(TRIPLE.diagram, P)
+    )
+    assert not checks.antipode_identity(TRIPLE, P)
+
+
+def test_adjointness_fails_on_a_scaled_star_product(monkeypatch):
+    rows = list(checks.adjointness_terms(P, max_edges=4))
+    assert all(all(verdicts) for _, verdicts in rows)
+    star = fy.simultaneous_insert_F
+    monkeypatch.setattr(
+        fy, "simultaneous_insert_F", lambda forest, host, rule: star(forest, host, rule).scale(2)
+    )
+    rows = list(checks.adjointness_terms(P, max_edges=4))
+    verdicts = [ok for _, row in rows for ok in row]
+    assert verdicts and not any(verdicts)
+    assert not all(ok for _, ok in checks.adjointness(P, RULE, checks.Bounds(max_edges=4)))
+
+
+def test_valuations_agree_fails_on_a_miscounted_lift(monkeypatch):
+    kernel = valuation.sample_kernel()
+    assert checks.valuations_agree(Z32, kernel)
+    lift = bridge.lift_P
+    monkeypatch.setattr(bridge, "lift_P", lambda m: lift(m).scale(2))
+    assert not checks.valuations_agree(Z32, kernel)
+
+
+def test_valuations_agree_fails_on_a_perturbed_recursion(monkeypatch):
+    kernel = valuation.sample_kernel()
+    assert checks.valuations_agree(Z32, kernel)
+    recursive = valuation.value_M_recursive
+    monkeypatch.setattr(
+        valuation, "value_M_recursive", lambda *args: recursive(*args) * (1 + 1e-6)
+    )
+    assert not checks.valuations_agree(Z32, kernel)
+
+
+def test_transport_composition_fails_without_the_convolution_cross_terms(monkeypatch):
+    # At ell = -3/2 the reduced coproduct of z2 z3^2 has a divergent trunk,
+    # so the convolution's cross terms f(forest) * g(trunk) show.
+    p = DegreeParams(Fraction(-3, 2), 3)
+    m = MultiIndex.parse("z2 z3^2")
+    assert checks.transport_composition(p, RULE)(m)
+    monkeypatch.setattr(
+        renorm, "convolve", lambda f, g, *_: renorm.Character(lambda x: f(x) + g(x))
+    )
+    assert not checks.transport_composition(p, RULE)(m)
+
+
+def test_verify_reports_a_planted_fault_and_exits_one(monkeypatch, capsys):
+    _plant_in_cache(
+        monkeypatch, "_ANTIPODE_M_CACHE", (Z32, P, RULE), renorm.antipode_M(Z32, P, RULE)
+    )
+    rc = cli.main(["verify", "--suite", "hopf"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert "FAIL  antipode identity z3^2" in lines
+    failures = sum(line.startswith("FAIL") for line in lines)
+    assert lines[-1] == "{} checks, {} failures".format(len(lines) - 1, failures)

@@ -7,6 +7,7 @@ of every golden here is established independently in the unit suites;
 these tests pin how the CLI serializes it.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -217,6 +218,20 @@ def test_verify_json_lists_every_check(capsys):
     assert all(check["ok"] is True for check in payload["checks"])
 
 
+@pytest.mark.parametrize(
+    "flag,digest",
+    [
+        ((), "f71c456646c05a5977f061fab8c266e3a954820c59997e15777c6a906d19965b"),
+        (("--json",), "78793abdbe99c2d3cfe5847ab76cabc974210d063e619ce0f93905b397adec16"),
+    ],
+)
+def test_verify_all_output_is_pinned(capsys, flag, digest):
+    """Every label, its order and the summary of the full sign-off run."""
+    rc, out, err = run(capsys, "verify", "--suite", "all", *flag)
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_phi4_report(capsys):
     rc, out, _ = run(capsys, "phi4", "--max-n", "4")
     assert rc == 0
@@ -230,6 +245,9 @@ def test_phi4_report(capsys):
         ("z4^^2", "syntax error at byte 2: expected token like z4 or z4^2"),
         ("n=2; e=1-2,,1-2", "syntax error at byte 11: expected an edge endpoint"),
         ("q", "syntax error at byte 0: expected token like z4 or z4^2"),
+        ("n=2 ; e=1-2,1-2,1-2", "syntax error at byte 3: expected ';' after the vertex count"),
+        ("z3z3", "syntax error at byte 2: expected whitespace between tokens"),
+        ("z4^0", "syntax error at byte 3: expected a positive multiplicity"),
     ],
 )
 def test_syntax_errors_report_byte_offsets(capsys, expr, message):

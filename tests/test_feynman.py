@@ -400,6 +400,7 @@ def test_enumeration_matches_brute_force():
 
 
 def test_enumeration_counts_are_stable():
+    assert len(list(iter_connected_diagrams(0))) == 0
     assert len(list(iter_connected_diagrams(1))) == 1
     assert len(list(iter_connected_diagrams(2))) == 3
     assert len(list(iter_connected_diagrams(6))) == 156
