@@ -118,7 +118,7 @@ def _census_key(
     """Bucket of one pairing: canonical diagram, diagram forest or legged class."""
     n = len(arities)
     if any(legs):
-        canon_edges, _, _, deco = _canonical_search(n, edges, legs)
+        canon_edges, _, deco = _canonical_search(n, edges, legs)
         return LeggedClass(
             "n={}; e={}; l={}".format(
                 n,
@@ -127,7 +127,9 @@ def _census_key(
             )
         )
     if connected_only and all(a >= 1 for a in arities):
-        return canonicalize(Diagram(n, edges))
+        # _census has checked connectivity; iter_multiplicity_matrices pairs
+        # no half-edge with its own vertex.
+        return canonicalize(Diagram._unchecked(n, edges))
     parts = []
     for comp in pairings.components(n, edges):
         local = {v: i for i, v in enumerate(comp)}

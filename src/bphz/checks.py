@@ -98,17 +98,24 @@ def _symbol_character(name: str) -> renorm.Character:
 
 
 def transport_composition(p: DegreeParams, rule: Rule) -> Callable[[MultiIndex], bool]:
-    """Predicate on monomials: transport by g, then by f, is transport by f * g.
+    """Predicate on monomials: transport by g, then by f, is transport by g * f.
+
+    Transport by g weights each extracted forest by g; transporting the
+    result by f then extracts again from the trunks.  By coassociativity
+    the composite weights the outer forest by g and the inner one by f,
+    so it is transport by g * f, whose value on m is g(m) + f(m) plus
+    coef * g(forest) * f(trunk) over the reduced coproduct.  (f * g
+    differs once a trunk is divergent, e.g. on z2 z4^2 at ell = -3/2.)
 
     f and g send a monomial m to the free symbols f[m] and g[m].  They and
     their convolution are built once, so their memos serve every call.
     """
     f, g = _symbol_character("f"), _symbol_character("g")
-    fg = renorm.convolve(f, g, p, rule)
+    gf = renorm.convolve(g, f, p, rule)
 
     def composes(m: MultiIndex) -> bool:
         composed = renorm.renorm_map_output(f, renorm.renorm_map(g, m, p, rule), p, rule)
-        return composed == renorm.renorm_map(fg, m, p, rule)
+        return composed == renorm.renorm_map(gf, m, p, rule)
 
     return composes
 

@@ -6,6 +6,12 @@ canonical labeling with automorphism counting, the degree map, divergent
 subgraph extraction with contraction (the diagram-side coproduct), and
 the simultaneous insertion product adjoint to it; single insertion is its
 one-part case.
+
+The canonical form is the least sorted edge tuple over relabelings that
+respect refined color classes.  Small classes are searched by trying
+every arrangement; larger ones by branch and bound over labels in order,
+with automorphism pruning (McKay and Piperno, Practical graph isomorphism
+II, 2014), which counts the automorphisms exactly along the way.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Iterator, Sequence, Tuple
 
 from .lincomb import Forest, LinComb, Scalar
@@ -56,6 +62,19 @@ class Diagram:
             raise ValueError("diagram must be connected")
         self._n = vertex_count
         self._edges = edges
+
+    @classmethod
+    def _unchecked(cls, vertex_count: int, edges: Iterable[Edge]) -> "Diagram":
+        """A diagram from edges derived from an already validated one.
+
+        Runs none of the checks of Diagram(...): the caller guarantees
+        that the edges are loopless, cover 0..vertex_count-1 and connect
+        them.  Endpoints are still ordered and the edges sorted.
+        """
+        self = object.__new__(cls)
+        self._n = vertex_count
+        self._edges = tuple(sorted((u, v) if u < v else (v, u) for u, v in edges))
+        return self
 
     @classmethod
     def parse(cls, text: str) -> "Diagram":
@@ -141,97 +160,218 @@ class Diagram:
         return "Diagram({})".format(self)
 
 
-def _refine_colors(
-    n: int, mult: dict[Edge, int], colors: list[int]
-) -> list[int]:
-    """Iteratively split color classes by colored-neighborhood signatures."""
-    while True:
+def _refine_colors(n: int, adj: list[dict[int, int]], colors: list[int]) -> list[int]:
+    """Iteratively split color classes by colored-neighborhood signatures.
+
+    A vertex's signature is its color and the multiset of (neighbor color,
+    edge multiplicity) pairs; new colors are signature ranks, so a class
+    splits into classes numbered in signature order.
+    """
+    while len(set(colors)) < n:
         signatures = []
         for v in range(n):
             neigh: dict[tuple[int, int], int] = {}
-            for (a, b), m in mult.items():
-                if a == v:
-                    key = (colors[b], m)
-                elif b == v:
-                    key = (colors[a], m)
-                else:
-                    continue
+            for u, m in adj[v].items():
+                key = (colors[u], m)
                 neigh[key] = neigh.get(key, 0) + 1
             signatures.append((colors[v], tuple(sorted(neigh.items()))))
-        order = sorted(set(signatures))
-        new_colors = [order.index(sig) for sig in signatures]
+        rank = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
+        new_colors = [rank[sig] for sig in signatures]
         if new_colors == colors:
-            return colors
+            break
         colors = new_colors
+    return colors
+
+
+# Color classes admitting at most this many arrangements are enumerated
+# outright; the branch and bound pays off only above it.
+_ENUMERATION_LIMIT = 120
 
 
 def _canonical_search(
     n: int, edges: tuple[Edge, ...], decorations: tuple[int, ...] | None = None
-) -> tuple[tuple[Edge, ...], tuple[int, ...], int, tuple[int, ...] | None]:
-    """Canonical relabeling by exhaustive search over color-respecting maps.
+) -> tuple[tuple[Edge, ...], int, tuple[int, ...] | None]:
+    """Canonical relabeling: the least sorted edge tuple over color-respecting maps.
 
-    Returns (canonical edge tuple, the permutation old->new achieving it,
-    number of vertex automorphisms, relabeled decorations).  Decorations,
-    when given, are per-vertex integers that must be preserved (used for
-    pairing outcomes carrying free legs).
+    Vertices are colored by degree and decoration, the colors are refined,
+    and the classes in color order take consecutive label ranges.  Among
+    the relabelings that respect those ranges, the canonical form is the
+    lexicographically least sorted edge tuple.  Returns (canonical edge
+    tuple, number of vertex automorphisms, decorations in label order).
+    Decorations, when given, are per-vertex integers that must be
+    preserved (pairing outcomes carrying free legs); they are constant on
+    each class, so they never decide between two relabelings.
+
+    Classes admitting at most _ENUMERATION_LIMIT arrangements are
+    enumerated; larger ones go to `_branch_and_bound`, which reaches the
+    same least tuple and the same count.
     """
-    mult: dict[Edge, int] = {}
-    for e in edges:
-        mult[e] = mult.get(e, 0) + 1
-    degs = [0] * n
-    for (u, v), m in mult.items():
-        degs[u] += m
-        degs[v] += m
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for u, v in edges:
+        adj[u][v] = adj[u].get(v, 0) + 1
+        adj[v][u] = adj[v].get(u, 0) + 1
     base = [
-        (degs[v], decorations[v] if decorations is not None else 0) for v in range(n)
+        (sum(adj[v].values()), decorations[v] if decorations is not None else 0)
+        for v in range(n)
     ]
-    order = sorted(set(base))
-    colors = _refine_colors(n, mult, [order.index(b) for b in base])
-
-    classes: dict[int, list[int]] = {}
+    rank = {b: i for i, b in enumerate(sorted(set(base)))}
+    colors = _refine_colors(n, adj, [rank[b] for b in base])
+    blocks: list[list[int]] = [[] for _ in range(max(colors) + 1)]
     for v in range(n):
-        classes.setdefault(colors[v], []).append(v)
-    blocks = [classes[c] for c in sorted(classes)]
-    offsets = []
-    pos = 0
-    for block in blocks:
-        offsets.append(pos)
-        pos += len(block)
+        blocks[colors[v]].append(v)
+    deco = (
+        tuple(decorations[block[0]] for block in blocks for _ in block)
+        if decorations is not None
+        else None
+    )
+    if prod(factorial(len(block)) for block in blocks) <= _ENUMERATION_LIMIT:
+        key, aut = _enumerate_arrangements(n, edges, blocks)
+    else:
+        key, aut = _branch_and_bound(n, adj, blocks)
+    return key, aut, deco
 
-    best: tuple | None = None
-    best_perm: tuple[int, ...] | None = None
+
+def _enumerate_arrangements(
+    n: int, edges: tuple[Edge, ...], blocks: list[list[int]]
+) -> tuple[tuple[Edge, ...], int]:
+    """Least relabeled edge tuple over every arrangement of the classes, and
+    the number of arrangements reaching it (a coset of the automorphisms)."""
+    perm = [0] * n
+    moving: list[tuple[int, list[int]]] = []
+    offset = 0
+    for block in blocks:
+        if len(block) == 1:
+            perm[block[0]] = offset
+        else:
+            moving.append((offset, block))
+        offset += len(block)
+    best: list[int] = []
     aut = 0
-    for arrangement in product(*(permutations(block) for block in blocks)):
-        perm = [0] * n
-        for block_old, offset in zip(arrangement, offsets):
-            for i, v in enumerate(block_old):
-                perm[v] = offset + i
-        relabeled = tuple(
-            sorted(
-                (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
-                for u, v in edges
-            )
+    for arrangement in product(*(permutations(block) for _, block in moving)):
+        for (offset, _), block in zip(moving, arrangement):
+            for label, v in enumerate(block, offset):
+                perm[v] = label
+        # The code u * n + v of an edge (u, v), u < v, orders edges as pairs do.
+        key = sorted(
+            [perm[u] * n + perm[v] if perm[u] < perm[v] else perm[v] * n + perm[u] for u, v in edges]
         )
-        deco = (
-            tuple(
-                decorations[v]
-                for v in sorted(range(n), key=lambda w: perm[w])
-            )
-            if decorations is not None
-            else None
-        )
-        candidate = (relabeled, deco)
-        # Arrangements achieving the canonical form are a coset of the
-        # automorphism group, so counting them counts automorphisms
-        # independently of the input labeling.
-        if best is None or candidate < best:
-            best = candidate
-            best_perm = tuple(perm)
-            aut = 1
-        elif candidate == best:
+        if not aut or key < best:
+            best, aut = key, 1
+        elif key == best:
             aut += 1
-    assert best is not None and best_perm is not None
-    return best[0], best_perm, aut, best[1]
+    return tuple(divmod(code, n) for code in best), aut
+
+
+def _branch_and_bound(
+    n: int, adj: list[dict[int, int]], blocks: list[list[int]]
+) -> tuple[tuple[Edge, ...], int]:
+    """Least relabeled edge tuple by assigning labels 0..n-1 in order.
+
+    Row i of the sorted edge tuple lists the edges (i, j) with j > i, so
+    once labels 0..k-1 are placed, every row whose vertex has no unlabeled
+    neighbor is final, and so are the entries to labeled vertices of the
+    first unfinished row r; together they are the fixed prefix.  Label k
+    must go to an unlabeled vertex of its class, and two cuts apply:
+
+    - only candidates with the most edges to r can give the least tuple,
+      since any other leaves an entry (r, j > k) where those have (r, k);
+    - a labeling whose fixed prefix exceeds the best tuple found is dropped.
+
+    Two leaves with equal tuples differ by an automorphism, which is
+    recorded.  A candidate that the automorphisms fixing the placed
+    vertices map to an explored sibling is skipped: its subtree is the
+    image of the sibling's, so it has the same least tuple and counts the
+    same number of leaves reaching it.  A subtree reports how many of its
+    leaves equal the best tuple at the time it returns, tagged with the
+    number of times the best has fallen; a later fall zeroes every count
+    with an older tag, since those subtrees lie strictly above the new
+    best.  The root's count is the number of color-respecting relabelings
+    reaching the least tuple, i.e. the number of vertex automorphisms.
+    """
+    class_of = [block for block in blocks for _ in block]
+    label = [-1] * n
+    order: list[int] = []
+    # Edge ends from each vertex to vertices without a label yet.
+    open_ends = [sum(row.values()) for row in adj]
+    # Final entries of the rows after r, held until r reaches them.
+    pending: list[list[Edge]] = [[] for _ in range(n)]
+    prefix: list[Edge] = []
+    automorphisms: list[list[int]] = []
+    best: list[Edge] = []
+    best_order: list[int] = []
+    falls = 0
+
+    def descend(k: int, row: int, tight: bool) -> tuple[int, int]:
+        # tight: the fixed prefix equals the best tuple's prefix (False
+        # before any leaf, and when the prefix is already below the best).
+        nonlocal best, best_order, falls
+        if k == n:
+            if tight:
+                automorphisms.append([best_order[label[v]] for v in range(n)])
+            else:
+                best, best_order = prefix[:], order[:]
+                falls += 1
+            return falls, 1
+        pool = [v for v in class_of[k] if label[v] < 0]
+        if row < k:
+            anchor = adj[order[row]]
+            most = max(anchor.get(v, 0) for v in pool)
+            pool = [v for v in pool if anchor.get(v, 0) == most]
+        results: dict[int, tuple[int, int]] = {}
+        known = -1
+        orbit = [0] * n
+        for v in pool:
+            if results and len(automorphisms) != known:
+                known = len(automorphisms)
+                fixing = [a for a in automorphisms if all(a[x] == x for x in order)]
+                moves = [(w, a[w]) for a in fixing for w in range(n) if a[w] != w]
+                for i, orbit_vertices in enumerate(components(n, moves)):
+                    for w in orbit_vertices:
+                        orbit[w] = i
+            twin = next((u for u in results if orbit[u] == orbit[v]), None)
+            if twin is not None:
+                results[v] = results[twin]
+                continue
+            mark = len(prefix)
+            held = []
+            label[v] = k
+            order.append(v)
+            for u, m in adj[v].items():
+                i = label[u]
+                if i < 0:
+                    continue
+                open_ends[u] -= m
+                open_ends[v] -= m
+                if i == row:
+                    prefix.extend([(i, k)] * m)
+                else:
+                    pending[i].extend([(i, k)] * m)
+                    held.append((i, m))
+            next_row = row
+            while next_row <= k and open_ends[order[next_row]] == 0:
+                next_row += 1
+                if next_row <= k:
+                    prefix.extend(pending[next_row])
+            fixed, bound = prefix[mark:], best[mark : len(prefix)]
+            if not tight or fixed <= bound:
+                before = falls
+                results[v] = descend(k + 1, next_row, tight and fixed == bound)
+                if falls != before:
+                    # The new best extends this node's prefix.
+                    tight = True
+            del prefix[mark:]
+            for i, m in held:
+                del pending[i][-m:]
+            for u, m in adj[v].items():
+                if 0 <= label[u] < k:
+                    open_ends[u] += m
+                    open_ends[v] += m
+            label[v] = -1
+            order.pop()
+        return falls, sum(count for tag, count in results.values() if tag == falls)
+
+    _, aut = descend(0, 0, False)
+    return tuple(best), aut
 
 
 class CanonDiagram:
@@ -243,25 +383,23 @@ class CanonDiagram:
     """
 
     __slots__ = ("_key", "_diagram", "_aut_order")
-    _interned: dict[str, "CanonDiagram"] = {}
+    _interned: dict[tuple[int, tuple[Edge, ...]], "CanonDiagram"] = {}
 
     def __new__(cls, diagram: Diagram):
-        canon_edges, _, vertex_aut, _ = _canonical_search(
-            diagram.vertex_count, diagram.edges
-        )
-        representative = Diagram(diagram.vertex_count, canon_edges)
-        key = str(representative)
-        hit = cls._interned.get(key)
+        n = diagram.vertex_count
+        canon_edges, vertex_aut, _ = _canonical_search(n, diagram.edges)
+        hit = cls._interned.get((n, canon_edges))
         if hit is not None:
             return hit
         self = object.__new__(cls)
+        representative = Diagram._unchecked(n, canon_edges)
         edge_perms = 1
         for m in representative.multiplicity().values():
             edge_perms *= factorial(m)
-        self._key = key
+        self._key = str(representative)
         self._diagram = representative
         self._aut_order = vertex_aut * edge_perms
-        cls._interned[key] = self
+        cls._interned[n, canon_edges] = self
         return self
 
     @property
@@ -395,7 +533,7 @@ def divergent_extractions(
         if reached != mask:
             continue
         local = {v: i for i, v in enumerate(v for v in range(n) if mask >> v & 1)}
-        piece = Diagram(
+        piece = Diagram._unchecked(
             size,
             [(local[u], local[v]) for u, v in g.edges if u in local and v in local],
         )
@@ -419,7 +557,7 @@ def divergent_extractions(
                 remap[v] = label
                 label += 1
         trunk_edges = [(remap[u], remap[v]) for u, v in g.edges if remap[u] != remap[v]]
-        out.append((DiagForest(piece for _, piece in chosen), Diagram(label, trunk_edges)))
+        out.append((DiagForest(piece for _, piece in chosen), Diagram._unchecked(label, trunk_edges)))
 
     def extend(start: int, used: int) -> None:
         for i in range(start, len(blocks)):
@@ -538,7 +676,7 @@ def simultaneous_insert_F(
             else:
                 choice_sets.append([(survivor_label[a], survivor_label[b])])
         for picks in product(*choice_sets):
-            merged = Diagram(pos, base_edges + list(picks))
+            merged = Diagram._unchecked(pos, base_edges + list(picks))
             if not _admits(merged, rule):
                 continue
             acc.append((canonicalize(merged), Fraction(1)))

@@ -9,7 +9,7 @@ cache, so values derived from the fault do not outlive the test.
 
 from fractions import Fraction
 
-from bphz import bridge, checks, cli, feynman as fy, renorm, valuation
+from bphz import bridge, checks, cli, feynman as fy, multiindex as mi, renorm, valuation
 from bphz.feynman import Diagram
 from bphz.multiindex import DegreeParams, MultiIndex, Rule
 
@@ -75,13 +75,50 @@ def test_valuations_agree_fails_on_a_perturbed_recursion(monkeypatch):
 
 def test_transport_composition_fails_without_the_convolution_cross_terms(monkeypatch):
     # At ell = -3/2 the reduced coproduct of z2 z3^2 has a divergent trunk,
-    # so the convolution's cross terms f(forest) * g(trunk) show.
+    # so the convolution's cross terms g(forest) * f(trunk) show.
     p = DegreeParams(Fraction(-3, 2), 3)
     m = MultiIndex.parse("z2 z3^2")
     assert checks.transport_composition(p, RULE)(m)
     monkeypatch.setattr(
         renorm, "convolve", lambda f, g, *_: renorm.Character(lambda x: f(x) + g(x))
     )
+    assert not checks.transport_composition(p, RULE)(m)
+
+
+SWEEP_ELLS = (Fraction(-1), Fraction(-1, 2), Fraction(-3, 2), Fraction(-2))
+
+
+def _composition_failures(ell: Fraction, rule) -> list[str]:
+    composes = checks.transport_composition(DegreeParams(ell, 3), rule)
+    return [str(m) for m in mi.iter_monomials_within(10, 4) if not composes(m)]
+
+
+def test_transport_composition_holds_over_the_sweep():
+    for ell in SWEEP_ELLS:
+        for rule in (RULE, None):
+            assert _composition_failures(ell, rule) == [], (ell, rule)
+
+
+def test_transport_composition_sweep_fails_without_the_cross_terms(monkeypatch):
+    monkeypatch.setattr(
+        renorm, "convolve", lambda f, g, *_: renorm.Character(lambda x: f(x) + g(x))
+    )
+    for ell in (Fraction(-3, 2), Fraction(-2)):
+        for rule in (RULE, None):
+            assert _composition_failures(ell, rule), (ell, rule)
+
+
+def test_transport_composition_tells_the_convolution_order(monkeypatch):
+    # On z2 z4^2 at ell = -3/2, g * f - f * g is
+    # 16 f[z2^2] g[z3^2] - 16 f[z3^2] g[z2^2], and only g * f composes.
+    p = DegreeParams(Fraction(-3, 2), 3)
+    m = MultiIndex.parse("z2 z4^2")
+    f, g = checks._symbol_character("f"), checks._symbol_character("g")
+    gap = renorm.convolve(g, f, p, RULE)(m) - renorm.convolve(f, g, p, RULE)(m)
+    assert str(gap) == "16*f[z2^2]*g[z3^2] - 16*f[z3^2]*g[z2^2]"
+    assert checks.transport_composition(p, RULE)(m)
+    convolve = renorm.convolve
+    monkeypatch.setattr(renorm, "convolve", lambda f, g, *rest: convolve(g, f, *rest))
     assert not checks.transport_composition(p, RULE)(m)
 
 

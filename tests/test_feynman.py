@@ -27,6 +27,7 @@ Core claims (hand-checked oracles):
       multiplicity-matrix enumeration
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -36,6 +37,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bphz import feynman as fy
 from bphz.bridge import lift_P
 from bphz.lincomb import LinComb
 from bphz.multiindex import DegreeParams, MultiIndex, Rule
@@ -44,6 +46,7 @@ from bphz.feynman import (
     CanonDiagram,
     DiagForest,
     Diagram,
+    _canonical_search,
     canonicalize,
     coproduct_full_F,
     coproduct_reduced_F,
@@ -146,6 +149,95 @@ def _brute_force_aut_order(g: Diagram) -> int:
 
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+def _enumeration_oracle(n: int, edges, decorations=None):
+    """The canonical form by trying every arrangement of the color classes.
+
+    Colors start from (degree, decoration) ranks and are split by
+    colored-neighborhood signatures until stable; the classes in color
+    order take consecutive label ranges.  Returns the least (sorted
+    relabeled edges, decorations in label order) over all arrangements and
+    the number of arrangements reaching it.
+    """
+    mult = Counter((u, v) if u < v else (v, u) for u, v in edges)
+    degs = [0] * n
+    for (u, v), m in mult.items():
+        degs[u] += m
+        degs[v] += m
+    base = [(degs[v], decorations[v] if decorations is not None else 0) for v in range(n)]
+    order = sorted(set(base))
+    colors = [order.index(b) for b in base]
+    while True:
+        signatures = []
+        for v in range(n):
+            neigh = Counter()
+            for (a, b), m in mult.items():
+                if v in (a, b):
+                    neigh[colors[b if a == v else a], m] += 1
+            signatures.append((colors[v], tuple(sorted(neigh.items()))))
+        order = sorted(set(signatures))
+        refined = [order.index(sig) for sig in signatures]
+        if refined == colors:
+            break
+        colors = refined
+    blocks = [[v for v in range(n) if colors[v] == c] for c in sorted(set(colors))]
+    best, aut = None, 0
+    for arrangement in product(*(permutations(block) for block in blocks)):
+        perm = {v: i for i, v in enumerate(v for block in arrangement for v in block)}
+        relabeled = tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges))
+        deco = None if decorations is None else tuple(decorations[v] for v in sorted(perm, key=perm.get))
+        candidate = (relabeled, deco)
+        if best is None or candidate < best:
+            best, aut = candidate, 1
+        elif candidate == best:
+            aut += 1
+    return best[0], aut, best[1]
+
+
+def _assert_search_matches_oracle(g: Diagram, rng) -> None:
+    """Key, aut_order and leg-decorated key of a random relabeling of g."""
+    n = g.vertex_count
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in g.edges]
+    rng.shuffle(edges)
+    relabeled = Diagram(n, edges)
+    key, aut, _ = _enumeration_oracle(n, relabeled.edges)
+    assert _canonical_search(n, relabeled.edges) == (key, aut, None), str(g)
+    canon = canonicalize(relabeled)
+    assert canon.diagram.edges == key, str(g)
+    assert canon.aut_order == aut * prod(factorial(m) for m in g.multiplicity().values()), str(g)
+    legs = tuple(rng.randrange(2) for _ in range(n))
+    assert _canonical_search(n, relabeled.edges, legs) == _enumeration_oracle(n, relabeled.edges, legs), (str(g), legs)
+
+
+# 0 sends every search through the branch and bound.
+SEARCH_LIMITS = pytest.mark.parametrize("limit", [0, fy._ENUMERATION_LIMIT])
+
+
+@SEARCH_LIMITS
+def test_canonical_search_matches_enumeration_oracle(monkeypatch, limit):
+    monkeypatch.setattr(fy, "_ENUMERATION_LIMIT", limit)
+    rng = random.Random(10)
+    cases = 0
+    for canon in iter_connected_diagrams(7):
+        for _ in range(2):
+            _assert_search_matches_oracle(canon.diagram, rng)
+            cases += 1
+    assert cases == 2 * len(list(iter_connected_diagrams(7)))
+
+
+@SEARCH_LIMITS
+def test_canonical_search_matches_enumeration_oracle_on_stars_and_lifts(monkeypatch, limit):
+    monkeypatch.setattr(fy, "_ENUMERATION_LIMIT", limit)
+    rng = random.Random(11)
+    stars = [Diagram(k + 1, [(i, k) for i in range(k)]) for k in (6, 7)]
+    assert [canonicalize(s).aut_order for s in stars] == [720, 5040]
+    lifted = [c.diagram for text in ("z3^6", "z2 z4^5") for c in lift_P(MultiIndex.parse(text)).keys()]
+    assert len(lifted) == 6 + 21
+    for g in stars + lifted:
+        _assert_search_matches_oracle(g, rng)
 
 
 @PROPERTY

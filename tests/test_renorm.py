@@ -278,12 +278,14 @@ def test_diagram_convolution_drops_convergent_trunks():
 def test_transport_composition_matches_convolution():
     f = Character(lambda m: SymbolicValue.symbol("f[{}]".format(m)), name="f")
     g = Character(lambda m: SymbolicValue.symbol("g[{}]".format(m)), name="g")
-    fg = convolve(f, g, P, RULE)
+    # Transport by g, then by f, weights outer forests by g and inner ones
+    # by f: it is transport by g * f.
+    gf = convolve(g, f, P, RULE)
     for n in (2, 3, 4):
         m = MultiIndex.single(4, n)
         inner = renorm_map(g, m, P, RULE)
         composed = renorm_map_output(f, inner, P, RULE)
-        assert composed == renorm_map(fg, m, P, RULE), n
+        assert composed == renorm_map(gf, m, P, RULE), n
 
 
 # -- output container ------------------------------------------------------------------
