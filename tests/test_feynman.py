@@ -8,6 +8,12 @@ Core claims (hand-checked oracles):
       (property-tested on random relabelings with random edge orders of
       every connected diagram with at most 5 edges, where aut_order also
       meets a brute-force count over all vertex permutations)
+    - the canonical search (enumeration of small color classes, branch
+      and bound above) equals the enumeration of every arrangement of the
+      color classes on key, aut_order and leg-decorated key: every
+      connected diagram with at most 7 edges, the 7- and 8-vertex stars
+      and the lift classes of z3^6 and z2 z4^5, each under a random
+      relabeling and random 0/1 legs, with and without the enumeration
     - counting map reads off vertex arities
     - extraction coproduct goldens: the bridged triple edge has exactly
       one divergent extraction; the two-triple chain has the 2/1 pattern;
