@@ -40,45 +40,13 @@ from .multiindex import (
 )
 
 
-class LeggedClass:
-    """Internal bucket key for pairings that keep free legs.
-
-    Wraps the canonical text of the body graph decorated with per-vertex
-    leg counts.  Not a Diagram: legs are outside the diagram space.
-    """
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: str):
-        self.key = key
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LeggedClass):
-            return NotImplemented
-        return self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __lt__(self, other: "LeggedClass") -> bool:
-        return self.key < other.key
-
-    def __str__(self) -> str:
-        return self.key
-
-    def __repr__(self) -> str:
-        return "LeggedClass({})".format(self.key)
-
-
 class PairingOutcome:
     """Counts of labeled half-edge pairings bucketed by isomorphism class."""
 
-    __slots__ = ("counts", "connected_only", "free_legs")
+    __slots__ = ("counts",)
 
-    def __init__(self, counts: dict, connected_only: bool, free_legs: int):
+    def __init__(self, counts: dict):
         self.counts = counts
-        self.connected_only = connected_only
-        self.free_legs = free_legs
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -115,16 +83,16 @@ def _census_key(
     legs: tuple[int, ...],
     connected_only: bool,
 ):
-    """Bucket of one pairing: canonical diagram, diagram forest or legged class."""
+    """Bucket of one pairing: canonical diagram, diagram forest, or for a
+    pairing with free legs the canonical text of its body decorated with
+    per-vertex leg counts (legs are outside the diagram space)."""
     n = len(arities)
     if any(legs):
         canon_edges, _, deco = _canonical_search(n, edges, legs)
-        return LeggedClass(
-            "n={}; e={}; l={}".format(
-                n,
-                ",".join("{}-{}".format(u + 1, v + 1) for u, v in canon_edges),
-                ",".join(str(c) for c in deco),
-            )
+        return "n={}; e={}; l={}".format(
+            n,
+            ",".join("{}-{}".format(u + 1, v + 1) for u, v in canon_edges),
+            ",".join(str(c) for c in deco),
         )
     if connected_only and all(a >= 1 for a in arities):
         # _census has checked connectivity; iter_multiplicity_matrices pairs
@@ -177,8 +145,8 @@ def enumerate_pairings(
     arities = m.arity_list()
     total = sum(arities)
     if free_legs < 0 or free_legs > total or (total - free_legs) % 2:
-        return PairingOutcome({}, connected_only, free_legs)
-    return PairingOutcome(_census(arities, connected_only, free_legs), connected_only, free_legs)
+        return PairingOutcome({})
+    return PairingOutcome(_census(arities, connected_only, free_legs))
 
 
 def lift_P(m: MultiIndex) -> LinComb[CanonDiagram]:

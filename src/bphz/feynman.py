@@ -12,6 +12,11 @@ respect refined color classes.  Small classes are searched by trying
 every arrangement; larger ones by branch and bound over labels in order,
 with automorphism pruning (McKay and Piperno, Practical graph isomorphism
 II, 2014), which counts the automorphisms exactly along the way.
+
+`canonicalize` keeps the one table of classes, `_canon_cache`: every
+diagram seen so far and every class representative map to the class's
+single `CanonDiagram`, so a representative is never searched again.
+``CanonDiagram(g)`` returns that same object.
 """
 
 from __future__ import annotations
@@ -383,14 +388,13 @@ class CanonDiagram:
     """
 
     __slots__ = ("_key", "_diagram", "_aut_order")
-    _interned: dict[tuple[int, tuple[Edge, ...]], "CanonDiagram"] = {}
 
     def __new__(cls, diagram: Diagram):
-        n = diagram.vertex_count
-        canon_edges, vertex_aut, _ = _canonical_search(n, diagram.edges)
-        hit = cls._interned.get((n, canon_edges))
-        if hit is not None:
-            return hit
+        return canonicalize(diagram)
+
+    @classmethod
+    def _of_search(cls, n: int, canon_edges: tuple[Edge, ...], vertex_aut: int) -> "CanonDiagram":
+        """The class object for a canonical edge tuple and its vertex automorphism count."""
         self = object.__new__(cls)
         representative = Diagram._unchecked(n, canon_edges)
         edge_perms = 1
@@ -399,7 +403,6 @@ class CanonDiagram:
         self._key = str(representative)
         self._diagram = representative
         self._aut_order = vertex_aut * edge_perms
-        cls._interned[n, canon_edges] = self
         return self
 
     @property
@@ -436,10 +439,20 @@ _canon_cache: dict[tuple[int, tuple[Edge, ...]], CanonDiagram] = {}
 
 
 def canonicalize(g: Diagram) -> CanonDiagram:
+    """The class of g, read from `_canon_cache` by (vertex count, edges).
+
+    A miss runs the canonical search and files the class under g's key and
+    under its representative's, so that one object stands for the class.
+    """
     key = (g.vertex_count, g.edges)
     hit = _canon_cache.get(key)
     if hit is None:
-        hit = CanonDiagram(g)
+        n = g.vertex_count
+        canon_edges, vertex_aut, _ = _canonical_search(n, g.edges)
+        hit = _canon_cache.get((n, canon_edges))
+        if hit is None:
+            hit = CanonDiagram._of_search(n, canon_edges, vertex_aut)
+            _canon_cache[n, canon_edges] = hit
         _canon_cache[key] = hit
     return hit
 

@@ -5,15 +5,21 @@ evaluating a character against the antipode of extracted pieces yields
 the subtraction scheme.  The output of a subtraction is a combination of
 basis forests with polynomial coefficients over formal evaluation
 symbols, so the result stays exact.
+
+Each recursion is memoized by a ``functools.cache`` on the map it
+computes: `antipode_M` and `hat_antipode_M` per (monomial, params,
+rule), `_antipode_F` per (canonical class, params), and every
+`Character` per component.  ``cache_clear()`` empties the module caches.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Iterable
 
 from . import feynman as fy
 from . import multiindex as mi
-from .feynman import DiagForest, Diagram
+from .feynman import CanonDiagram, DiagForest, Diagram
 from .lincomb import Forest, LinComb, apply_linear, multiplicative, product
 from .multiindex import DegreeParams, MIForest, MultiIndex, Rule
 from .symvalue import SymbolicValue, _coerce
@@ -41,9 +47,7 @@ def _antipode(top: Forest, reduced_items: Iterable, recurse: Callable) -> LinCom
     return acc
 
 
-_ANTIPODE_M_CACHE: dict = {}
-
-
+@cache
 def antipode_M(m: MultiIndex, p: DegreeParams, rule: Rule) -> LinComb[MIForest]:
     """Recursive antipode on the negative part; zero elsewhere.
 
@@ -53,19 +57,12 @@ def antipode_M(m: MultiIndex, p: DegreeParams, rule: Rule) -> LinComb[MIForest]:
     realizable monomials (this is what kills, e.g., a lone z2 trunk: one
     arity-2 vertex cannot pair its own legs).
     """
-    key = (m, p, rule)
-    cached = _ANTIPODE_M_CACHE.get(key)
-    if cached is not None:
-        return cached
     if not in_negative_part_M(m, p):
-        result: LinComb[MIForest] = LinComb.zero()
-    else:
-        reduced = mi.coproduct_reduced(m, p, rule, trunk_in_image=True)
-        result = _antipode(
-            MIForest.of(m), reduced.items(), lambda f: antipode_M_forest(f, p, rule)
-        )
-    _ANTIPODE_M_CACHE[key] = result
-    return result
+        return LinComb.zero()
+    reduced = mi.coproduct_reduced(m, p, rule, trunk_in_image=True)
+    return _antipode(
+        MIForest.of(m), reduced.items(), lambda f: antipode_M_forest(f, p, rule)
+    )
 
 
 def antipode_M_forest(f: MIForest, p: DegreeParams, rule: Rule) -> LinComb[MIForest]:
@@ -78,9 +75,7 @@ def antipode_M_forest(f: MIForest, p: DegreeParams, rule: Rule) -> LinComb[MIFor
     )
 
 
-_HAT_ANTIPODE_M_CACHE: dict = {}
-
-
+@cache
 def hat_antipode_M(m: MultiIndex, p: DegreeParams, rule: Rule) -> LinComb[MIForest]:
     """Antipode of the negative-part quotient: trunks projected to it too.
 
@@ -90,18 +85,12 @@ def hat_antipode_M(m: MultiIndex, p: DegreeParams, rule: Rule) -> LinComb[MIFore
     """
     if not in_negative_part_M(m, p):
         raise ValueError("hat antipode is defined on the negative part only")
-    key = (m, p, rule)
-    cached = _HAT_ANTIPODE_M_CACHE.get(key)
-    if cached is not None:
-        return cached
     reduced = mi.coproduct_reduced(m, p, rule, trunk_in_image=True)
-    result = _antipode(
+    return _antipode(
         MIForest.of(m),
         (((f, t), c) for (f, t), c in reduced.items() if mi.is_divergent(t, p)),
         lambda f: hat_antipode_M_forest(f, p, rule),
     )
-    _HAT_ANTIPODE_M_CACHE[key] = result
-    return result
 
 
 def hat_antipode_M_forest(
@@ -115,9 +104,6 @@ def hat_antipode_M_forest(
     )
 
 
-_ANTIPODE_F_CACHE: dict = {}
-
-
 def antipode_F(g: Diagram, p: DegreeParams) -> LinComb[DiagForest]:
     """Recursive diagram antipode.
 
@@ -126,18 +112,17 @@ def antipode_F(g: Diagram, p: DegreeParams) -> LinComb[DiagForest]:
     extracted pieces are always divergent, so the guard only matters at
     the top level.
     """
-    canon = fy.canonicalize(g)
-    key = (canon, p)
-    cached = _ANTIPODE_F_CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = _antipode(
+    return _antipode_F(fy.canonicalize(g), p)
+
+
+@cache
+def _antipode_F(canon: CanonDiagram, p: DegreeParams) -> LinComb[DiagForest]:
+    """The antipode of one isomorphism class, computed on its representative."""
+    return _antipode(
         DiagForest.of(canon),
-        fy.coproduct_reduced_F(g, p).items(),
+        fy.coproduct_reduced_F(canon.diagram, p).items(),
         lambda f: antipode_F_forest(f, p),
     )
-    _ANTIPODE_F_CACHE[key] = result
-    return result
 
 
 def antipode_F_forest(f: DiagForest, p: DegreeParams) -> LinComb[DiagForest]:
@@ -158,16 +143,11 @@ class Character:
     """
 
     def __init__(self, component_fn: Callable, name: str = ""):
-        self._fn = component_fn
         self.name = name
-        self._memo: dict = {}
+        self._memo = cache(lambda comp: _coerce(component_fn(comp)))
 
     def on_component(self, comp) -> SymbolicValue:
-        cached = self._memo.get(comp)
-        if cached is None:
-            cached = _coerce(self._fn(comp))
-            self._memo[comp] = cached
-        return cached
+        return self._memo(comp)
 
     def __call__(self, x) -> SymbolicValue:
         if not isinstance(x, Forest):

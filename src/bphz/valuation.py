@@ -6,11 +6,16 @@ products over all vertex placements on a torus.  Monomial values are
 pushed through the lift; the moment/cumulant recursion provides an
 independent route to the same numbers.  On top of these sit the coupling
 series, the counterterms, and the end-to-end quartic example report.
+
+Lattice sums are memoized per (canonical class, kernel) by a
+``functools.cache`` on `_lattice_sum`; the moment recursion memoizes
+its sub-monomials within one call only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import factorial
 from typing import Mapping
@@ -106,16 +111,11 @@ def value_F_symbolic(g: Diagram | CanonDiagram) -> SymbolicValue:
     return SymbolicValue.symbol(_pi_name(g))
 
 
-_NUMERIC_CACHE: dict = {}
-
-
 def value_F_numeric(g: Diagram | CanonDiagram | DiagForest, kernel: KernelSpec) -> float:
     """Normalized lattice sum: average the kernel product over vertex placements.
 
-    Kernel values are read from a site-by-site table built once per call;
-    placements run in lexicographic order and each product multiplies the
-    edges in order, so the float is bit-identical to summing
-    ``kernel.at`` over the placements of site tuples (tests check this).
+    Forests multiply their parts; a diagram is summed once per class and
+    kernel (see `_lattice_sum`).
     """
     if isinstance(g, DiagForest):
         acc = 1.0
@@ -124,11 +124,19 @@ def value_F_numeric(g: Diagram | CanonDiagram | DiagForest, kernel: KernelSpec) 
         return acc
     if isinstance(g, Diagram):
         g = fy.canonicalize(g)
-    key = (g, kernel)
-    cached = _NUMERIC_CACHE.get(key)
-    if cached is not None:
-        return cached
-    diagram = g.diagram
+    return _lattice_sum(g, kernel)
+
+
+@cache
+def _lattice_sum(canon: CanonDiagram, kernel: KernelSpec) -> float:
+    """The lattice sum of one class's representative.
+
+    Kernel values are read from a site-by-site table built once per call;
+    placements run in lexicographic order and each product multiplies the
+    edges in order, so the float is bit-identical to summing
+    ``kernel.at`` over the placements of site tuples (tests check this).
+    """
+    diagram = canon.diagram
     n = diagram.vertex_count
     sites = list(product(range(kernel.N), repeat=kernel.d))
     if len(sites) ** n > _LATTICE_LIMIT:
@@ -141,9 +149,7 @@ def value_F_numeric(g: Diagram | CanonDiagram | DiagForest, kernel: KernelSpec) 
         for u, v in edges:
             w *= table[placement[u]][placement[v]]
         total += w
-    result = total / len(sites) ** n
-    _NUMERIC_CACHE[key] = result
-    return result
+    return total / len(sites) ** n
 
 
 def value_M(m: MultiIndex, kernel: KernelSpec | None = None):
@@ -187,39 +193,36 @@ def _set_partitions(items: tuple) -> list[list[tuple]]:
     return out
 
 
-def value_M_recursive(
-    m: MultiIndex, kernel: KernelSpec, _memo: dict | None = None
-) -> float:
+def value_M_recursive(m: MultiIndex, kernel: KernelSpec) -> float:
     """Connected value by the moment recursion, independent of the lift.
 
     The moment of a monomial splits over set partitions of its vertices
     into products of connected values, so the connected value is the
-    moment minus every properly split contribution.
+    moment minus every properly split contribution.  Connected values of
+    the sub-monomials are memoized for the one call.
     """
-    arities = m.arity_list()
-    if any(a == 0 for a in arities):
+    if 0 in m.arity_list():
         raise ValueError("arity-0 vertices have no connected value")
-    if _memo is None:
-        _memo = {}
-    cached = _memo.get(m)
-    if cached is not None:
-        return cached
-    total = moment_oracle(m, kernel)
-    labeled = tuple(range(len(arities)))
-    for partition in _set_partitions(labeled):
-        if len(partition) < 2:
-            continue
-        w = 1.0
-        for block in partition:
-            merged: dict[int, int] = {}
-            for i in block:
-                merged[arities[i]] = merged.get(arities[i], 0) + 1
-            w *= value_M_recursive(MultiIndex(merged), kernel, _memo)
-            if w == 0.0:
-                break
-        total -= w
-    _memo[m] = total
-    return total
+
+    @cache
+    def connected(m: MultiIndex) -> float:
+        arities = m.arity_list()
+        total = moment_oracle(m, kernel)
+        for partition in _set_partitions(tuple(range(len(arities)))):
+            if len(partition) < 2:
+                continue
+            w = 1.0
+            for block in partition:
+                merged: dict[int, int] = {}
+                for i in block:
+                    merged[arities[i]] = merged.get(arities[i], 0) + 1
+                w *= connected(MultiIndex(merged))
+                if w == 0.0:
+                    break
+            total -= w
+        return total
+
+    return connected(m)
 
 
 def cumulant_series(

@@ -3,13 +3,16 @@
 The acceptance gate and ``bphz verify`` both read their verdicts from
 ``bphz.checks``, so each predicate there must be able to fail.  Every test
 first sees the predicate pass, then plants one fault with monkeypatch and
-sees it fail.  Faults in a module-level cache are planted in a copy of the
-cache, so values derived from the fault do not outlive the test.
+sees it fail.  A fault in a memoized antipode is planted by wrapping the
+cached function; the antipodes built from it land in the renorm caches,
+which are cleared at teardown so they do not outlive the test.
 """
 
 from fractions import Fraction
 
-from bphz import bridge, checks, cli, feynman as fy, multiindex as mi, renorm, valuation
+import pytest
+
+from bphz import checks, cli, feynman as fy, multiindex as mi, renorm, valuation
 from bphz.feynman import Diagram
 from bphz.multiindex import DegreeParams, MultiIndex, Rule
 
@@ -19,26 +22,39 @@ Z32 = MultiIndex.parse("z3^2")
 TRIPLE = fy.canonicalize(Diagram.parse("n=2; e=1-2,1-2,1-2"))
 
 
-def _plant_in_cache(monkeypatch, name: str, key, antipode) -> None:
-    """Cache twice the antipode under key, in a private copy of the cache."""
-    cache = dict(getattr(renorm, name))
-    cache[key] = antipode.scale(2)
-    monkeypatch.setattr(renorm, name, cache)
+@pytest.fixture
+def planted(monkeypatch):
+    """Plant a doubled value for one argument tuple of a cached renorm map.
+
+    Yields plant(name, args); at teardown the patch is undone and every
+    renorm cache is cleared of the values built from the fault.
+    """
+    caches = (renorm.antipode_M, renorm.hat_antipode_M, renorm._antipode_F)
+
+    def plant(name: str, key: tuple) -> None:
+        original = getattr(renorm, name)
+
+        def doubled(*args):
+            value = original(*args)
+            return value.scale(2) if args == key else value
+
+        monkeypatch.setattr(renorm, name, doubled)
+
+    yield plant
+    monkeypatch.undo()
+    for fn in caches:
+        fn.cache_clear()
 
 
-def test_antipode_identity_fails_on_a_perturbed_monomial_antipode(monkeypatch):
+def test_antipode_identity_fails_on_a_perturbed_monomial_antipode(planted):
     assert checks.antipode_identity(Z32, P, RULE)
-    _plant_in_cache(
-        monkeypatch, "_ANTIPODE_M_CACHE", (Z32, P, RULE), renorm.antipode_M(Z32, P, RULE)
-    )
+    planted("antipode_M", (Z32, P, RULE))
     assert not checks.antipode_identity(Z32, P, RULE)
 
 
-def test_antipode_identity_fails_on_a_perturbed_diagram_antipode(monkeypatch):
+def test_antipode_identity_fails_on_a_perturbed_diagram_antipode(planted):
     assert checks.antipode_identity(TRIPLE, P)
-    _plant_in_cache(
-        monkeypatch, "_ANTIPODE_F_CACHE", (TRIPLE, P), renorm.antipode_F(TRIPLE.diagram, P)
-    )
+    planted("_antipode_F", (TRIPLE, P))
     assert not checks.antipode_identity(TRIPLE, P)
 
 
@@ -58,8 +74,8 @@ def test_adjointness_fails_on_a_scaled_star_product(monkeypatch):
 def test_valuations_agree_fails_on_a_miscounted_lift(monkeypatch):
     kernel = valuation.sample_kernel()
     assert checks.valuations_agree(Z32, kernel)
-    lift = bridge.lift_P
-    monkeypatch.setattr(bridge, "lift_P", lambda m: lift(m).scale(2))
+    lift = valuation.lift_P
+    monkeypatch.setattr(valuation, "lift_P", lambda m: lift(m).scale(2))
     assert not checks.valuations_agree(Z32, kernel)
 
 
@@ -122,10 +138,8 @@ def test_transport_composition_tells_the_convolution_order(monkeypatch):
     assert not checks.transport_composition(p, RULE)(m)
 
 
-def test_verify_reports_a_planted_fault_and_exits_one(monkeypatch, capsys):
-    _plant_in_cache(
-        monkeypatch, "_ANTIPODE_M_CACHE", (Z32, P, RULE), renorm.antipode_M(Z32, P, RULE)
-    )
+def test_verify_reports_a_planted_fault_and_exits_one(planted, capsys):
+    planted("antipode_M", (Z32, P, RULE))
     rc = cli.main(["verify", "--suite", "hopf"])
     lines = capsys.readouterr().out.splitlines()
     assert rc == 1

@@ -9,10 +9,11 @@ these tests pin how the CLI serializes it.
 
 import hashlib
 import json
+import sys
 
 import pytest
 
-from bphz import cli
+from bphz import cli, feynman
 
 
 def run(capsys, *argv):
@@ -230,6 +231,29 @@ def test_verify_all_output_is_pinned(capsys, flag, digest):
     rc, out, err = run(capsys, "verify", "--suite", "all", *flag)
     assert rc == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _memoized_maps() -> set:
+    """Every functools cache bound at the top level of a bphz module."""
+    return {
+        value
+        for name, module in sys.modules.items()
+        if name == "bphz" or name.startswith("bphz.")
+        for value in vars(module).values()
+        if hasattr(value, "cache_clear")
+    }
+
+
+def test_outputs_survive_clearing_every_cache(capsys):
+    argvs = (("verify", "--suite", "hopf"), ("phi4", "--json"))
+    first = [run(capsys, *argv) for argv in argvs]
+    maps = _memoized_maps()
+    assert {fn.__name__ for fn in maps} >= {"antipode_M", "hat_antipode_M", "_antipode_F", "_lattice_sum"}
+    for fn in maps:
+        fn.cache_clear()
+    feynman._canon_cache.clear()
+    assert all(fn.cache_info().currsize == 0 for fn in maps)
+    assert [run(capsys, *argv) for argv in argvs] == first
 
 
 def test_phi4_report(capsys):

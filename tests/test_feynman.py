@@ -4,7 +4,9 @@ Core claims (hand-checked oracles):
     - symmetry factors count vertex automorphisms times parallel-edge
       permutations: triple edge 12, double edge 4, quadruple edge 48,
       the bridged triple edge 12, the six-leaf star 720
-    - canonical forms identify relabelings and never depend on input order
+    - canonical forms identify relabelings and never depend on input order;
+      each class is one object, and canonicalizing its representative runs
+      no search
       (property-tested on random relabelings with random edge orders of
       every connected diagram with at most 5 edges, where aut_order also
       meets a brute-force count over all vertex permutations)
@@ -128,6 +130,20 @@ def test_canonical_form_is_labeling_independent():
     assert canonicalize(a) is canonicalize(b)
     assert canonicalize(a) is canonicalize(c)
     assert canonicalize(a).aut_order == 2
+
+
+def test_a_class_representative_is_never_searched_again(monkeypatch):
+    # A fresh table, so the classes below are new and no earlier test has
+    # canonicalized their representatives.
+    monkeypatch.setattr(fy, "_canon_cache", {})
+    classes = list(iter_connected_diagrams(5))
+    searches = []
+    search = fy._canonical_search
+    monkeypatch.setattr(fy, "_canonical_search", lambda *args: searches.append(args) or search(*args))
+    for c in classes:
+        assert canonicalize(c.diagram) is c, c.key
+        assert fy.CanonDiagram(c.diagram) is c, c.key
+    assert searches == []
 
 
 DIAGRAMS_5 = sorted(iter_connected_diagrams(5))

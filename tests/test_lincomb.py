@@ -13,6 +13,7 @@ Core claims:
 """
 
 import importlib.util
+import pkgutil
 from fractions import Fraction
 from pathlib import Path
 
@@ -236,6 +237,24 @@ def test_public_api_is_pinned():
         "value_M",
         "value_M_recursive",
     ]
+
+
+def test_the_only_module_level_dicts_are_the_suites_and_the_class_table():
+    # Memoized maps use functools caches, which have cache_clear and sizes;
+    # a new hand-written dict cache, at module or class level, fails here.
+    found = set()
+    for info in pkgutil.iter_modules(bphz.__path__):
+        module = importlib.import_module("bphz." + info.name)
+        owners = [(info.name, module)] + [
+            ("{}.{}".format(info.name, name), value)
+            for name, value in vars(module).items()
+            if isinstance(value, type) and value.__module__ == module.__name__
+        ]
+        for owner, namespace in owners:
+            for name, value in vars(namespace).items():
+                if isinstance(value, dict) and not name.startswith("__"):
+                    found.add("{}.{}".format(owner, name))
+    assert found == {"checks.SUITES", "feynman._canon_cache"}
 
 
 def test_bench_tracer_names_resolve():
