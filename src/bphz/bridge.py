@@ -104,7 +104,8 @@ def _census_key(
         comp_edges = [(local[u], local[v]) for u, v in edges if u in local]
         if not comp_edges:
             continue
-        parts.append(canonicalize(Diagram(len(comp), comp_edges)))
+        # a component with an edge of a loopless pairing is a diagram
+        parts.append(canonicalize(Diagram._unchecked(len(comp), comp_edges)))
     return DiagForest(parts)
 
 

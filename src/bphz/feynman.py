@@ -719,12 +719,14 @@ def iter_connected_diagrams(max_edges: int) -> Iterator[CanonDiagram]:
         for canon in frontier:
             g = canon.diagram
             n = g.vertex_count
+            # one more loopless edge, inside g or to a fresh vertex, keeps
+            # the diagram connected
             extensions: list[Diagram] = []
             for u in range(n):
                 for v in range(u + 1, n):
-                    extensions.append(Diagram(n, list(g.edges) + [(u, v)]))
+                    extensions.append(Diagram._unchecked(n, g.edges + ((u, v),)))
             for u in range(n):
-                extensions.append(Diagram(n + 1, list(g.edges) + [(u, n)]))
+                extensions.append(Diagram._unchecked(n + 1, g.edges + ((u, n),)))
             for ext in extensions:
                 c = canonicalize(ext)
                 if c not in seen:

@@ -14,13 +14,13 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import combinations_with_replacement
 from math import factorial
 from typing import Iterable, Iterator, Sequence, Tuple
 
 from . import pairings
-from .lincomb import Forest, LinComb, RationalLike, Scalar, as_scalar, multiplicative
+from .lincomb import Forest, LinComb, RationalLike, Scalar, apply_linear, as_scalar, multiplicative
 from .symvalue import SymbolicValue
 
 _TOKEN = re.compile(r"z(\d+)(?:\^(\d+))?")
@@ -294,16 +294,28 @@ def is_divergent(m: MultiIndex, p: DegreeParams) -> bool:
     return degree(m, p) <= 0
 
 
+@cache
+def _D_power(gamma: MultiIndex, k: int) -> LinComb[MultiIndex]:
+    """D^k gamma, memoized: the one place the derivation D is applied.
+
+    D = sum_j z_{j+1} d/dz_j moves one vertex of arity j to arity j + 1,
+    weighted by the beta(j) vertices it may pick; D^k applies D once to
+    each monomial of D^(k-1) gamma.
+    """
+    if k == 0:
+        return LinComb.single(gamma)
+    if k == 1:
+        return LinComb((gamma.shift(j, -1).shift(j + 1, 1), mult) for j, mult in gamma.beta().items())
+    return apply_linear(lambda mono: _D_power(mono, 1), _D_power(gamma, k - 1))
+
+
 def apply_D(p: LinComb[MultiIndex] | MultiIndex, times: int = 1) -> LinComb[MultiIndex]:
     """Apply the derivation D = sum_k z_{k+1} d/dz_k the given number of times."""
-    comb = LinComb.single(p) if isinstance(p, MultiIndex) else p
-    for _ in range(times):
-        acc: list[tuple[MultiIndex, Scalar]] = []
-        for mono, coef in comb.items():
-            for k, mult in mono.beta().items():
-                acc.append((mono.shift(k, -1).shift(k + 1, 1), coef * mult))
-        comb = LinComb(acc)
-    return comb
+    if times < 0:
+        raise ValueError("D is applied a nonnegative number of times")
+    if isinstance(p, MultiIndex):
+        return _D_power(p, times)
+    return apply_linear(lambda mono: _D_power(mono, times), p)
 
 
 def _project_rule(comb: LinComb[MultiIndex], rule: Rule | None) -> LinComb[MultiIndex]:
@@ -398,7 +410,7 @@ def simultaneous_insert(
                 continue
             extended = poly
             for k, t in tally.items():
-                piece = apply_D(component, k)
+                piece = _D_power(component, k)
                 for _ in range(t):
                     extended = _poly_mul(extended, piece)
             recurse(idx + 1, merged, extended, weight * arrangements)
@@ -420,16 +432,9 @@ def is_populatable(m: MultiIndex, free_legs: int = 0) -> bool:
     """True iff the half-edges pair into a connected loopless graph.
 
     Exactly free_legs half-edges stay unpaired; every vertex must be
-    spanned.  Decided by matching search on the labeled half-edges.
+    spanned.  Decided by Hakimi's degree criterion (`pairings.matching_exists`).
     """
-    if m.is_empty():
-        return False
     return pairings.matching_exists(m.arity_list(), free_legs)
-
-
-@lru_cache(maxsize=None)
-def _populatable_cached(m: MultiIndex, free_legs: int) -> bool:
-    return is_populatable(m, free_legs)
 
 
 def iter_monomials_within(max_half_edges: int, max_vertices: int) -> Iterator[MultiIndex]:
@@ -478,7 +483,7 @@ def extraction_candidates(m: MultiIndex, p: DegreeParams) -> tuple[MultiIndex, .
         deg = _degree(half_edges, len(acc), p)
         if half_edges >= 2 and deg <= 0:
             gamma = MultiIndex((k, 1) for k in acc)
-            if _populatable_cached(gamma, 0):
+            if is_populatable(gamma):
                 out.append(gamma)
         # deg is -d plus ell*k/2 + d per vertex of arity k.  At deg > 0 some
         # vertex, of arity >= cap, adds a positive amount; that amount is
@@ -533,22 +538,17 @@ def coproduct_reduced(
     top = m.max_arity()
 
     def usable_shifts(gamma: MultiIndex) -> dict[int, LinComb[MultiIndex]]:
-        """Filtered D^k gamma for every k whose image meets the submonomials of m."""
+        """D^k gamma cut down to the submonomials of m, for every k where it is nonzero.
+
+        D^k gamma has he(gamma) + k half-edges on |gamma| vertices, so it
+        divides m only for he(gamma) + k <= min(he(m), top * |gamma|).
+        """
         shifts: dict[int, LinComb[MultiIndex]] = {}
-        piece = LinComb.single(gamma)
-        k = 0
-        while piece and gamma.half_edges() + k <= he_m:
-            filtered = LinComb(
-                (mono, coef) for mono, coef in piece.items() if mono.submonomial_of(m)
-            )
+        for k in range(min(he_m, top * gamma.norm()) - gamma.half_edges() + 1):
+            piece = _D_power(gamma, k)
+            filtered = LinComb((mono, c) for mono, c in piece.items() if mono.submonomial_of(m))
             if filtered:
                 shifts[k] = filtered
-            k += 1
-            piece = LinComb(
-                (mono, coef)
-                for mono, coef in apply_D(piece).items()
-                if mono.max_arity() <= top
-            )
         return shifts
 
     candidate_shifts = [(gamma, usable_shifts(gamma)) for gamma in extraction_candidates(m, p)]
@@ -630,7 +630,7 @@ def coproduct_reduced(
             continue
         if rule is not None and not rule.admits(trunk):
             continue
-        if trunk_in_image and not _populatable_cached(trunk, 0):
+        if trunk_in_image and not is_populatable(trunk):
             continue
         coefficient = value * s_m / (sym_factor_forest(forest) * sym_factor(trunk))
         out.append(((forest, trunk), coefficient))

@@ -5,8 +5,9 @@ vertices carrying that many half-edges each.  This module enumerates the
 ways to pair those half-edges into loopless edges: either one labeled
 matching at a time (the ground-truth oracle) or aggregated by edge
 multiplicity matrix (the fast path; the two are cross-asserted in tests).
-No canonicalization happens here; callers bucket the resulting labeled
-graphs themselves.
+Whether a connected pairing exists at all, free legs allowed, is decided
+without enumeration by Hakimi's degree criterion.  No canonicalization
+happens here; callers bucket the resulting labeled graphs themselves.
 """
 
 from __future__ import annotations
@@ -123,46 +124,29 @@ def iter_multiplicity_matrices(arities: Sequence[int]) -> Iterator[Tuple[Tuple[E
     yield from recurse(0)
 
 
-def connected_realization_exists(degrees: Sequence[int]) -> bool:
-    """True iff a connected loopless multigraph realizes the degrees.
-
-    Hakimi's criterion for a loopless multigraph (even degree sum, no
-    vertex demanding more than the others supply: max <= sum - max), plus
-    every vertex degree >= 1 and enough edges to span (sum/2 >= n-1); a
-    single vertex needs degree 0.  Tests cross-check it against exhaustive
-    search.
-    """
-    n = len(degrees)
-    total = sum(degrees)
-    if n == 0:
-        return False
-    if n == 1:
-        return degrees[0] == 0
-    if total % 2 or any(d < 1 for d in degrees):
-        return False
-    if total // 2 < n - 1:
-        return False
-    return 2 * max(degrees) <= total
-
-
 def matching_exists(arities: Sequence[int], free_legs: int) -> bool:
     """Existence of a connected loopless pairing leaving free_legs unpaired.
 
     Free legs may sit on any vertices; all vertices must be spanned by the
     paired edges (a single vertex with every leg free counts as connected).
+
+    Decided in closed form.  P = sum(arities) - free_legs half-edges are
+    paired; a lone vertex needs P = 0.  For n >= 2 vertices, Hakimi's
+    criterion says paired degrees r_v >= 1 form a connected loopless
+    multigraph iff P is even, max r_v <= P/2 and P/2 >= n - 1.  Degrees
+    1 <= r_v <= min(k_v, P/2) summing to P exist iff every k_v >= 1 and
+    sum min(k_v, P/2) >= P (P >= n already follows from P/2 >= n - 1).
+    Tests cross-check it against exhaustive matching search.
     """
-    if free_legs < 0 or (sum(arities) - free_legs) % 2:
-        return False
     n = len(arities)
-
-    def distribute(idx: int, left: int, residual: list[int]) -> bool:
-        if idx == n:
-            return left == 0 and connected_realization_exists(residual)
-        limit = min(left, arities[idx])
-        for take in range(limit + 1):
-            residual[idx] = arities[idx] - take
-            if distribute(idx + 1, left - take, residual):
-                return True
-        return False
-
-    return distribute(0, free_legs, [0] * n)
+    paired = sum(arities) - free_legs
+    if n <= 1:
+        return n == 1 and paired == 0
+    half = paired // 2
+    return (
+        paired >= 0
+        and paired % 2 == 0
+        and min(arities) >= 1
+        and half >= n - 1
+        and sum(min(k, half) for k in arities) >= paired
+    )

@@ -26,7 +26,7 @@ from .bridge import enumerate_pairings, lift_P
 from .feynman import CanonDiagram, DiagForest, Diagram
 from .lincomb import LinComb
 from .multiindex import DegreeParams, MIForest, MultiIndex, Rule
-from .renorm import Character, RenormOutput, antipode_M, bphz_M
+from .renorm import Character, RenormOutput, antipode_M, bphz_M, in_negative_part_M
 from .symvalue import SymbolicValue
 
 
@@ -263,37 +263,30 @@ def counterterms(
 ) -> dict[int, SymbolicValue]:
     """Renormalised-measure counterterms gamma_k for k in the rule and k = 0.
 
-    gamma_k = - sum over admissible k-leg monomials b and negative-part
-    monomials a of Pi(A(a)) <D^k a, b> / (k! Shat(b) S(a)) upsilon(b),
-    truncated by half-edge count.
+    gamma_k = - sum over negative-part monomials a and the admissible
+    k-leg monomials b of D^k a of Pi(A(a)) <D^k a, b> / (k! Shat(b) S(a))
+    upsilon(b), truncated by half-edge count.
     """
     pi = pi_character_M()
     out: dict[int, SymbolicValue] = {}
     for k in sorted(rule.arities | {0}):
         gamma = SymbolicValue.zero()
-        for target in mi.iter_monomials_within(max_half_edges, max_half_edges):
-            if not rule.admits(target):
+        he_source = max_half_edges - k
+        for source in mi.iter_monomials_within(he_source, he_source):
+            if not in_negative_part_M(source, p):
                 continue
-            weight = mi.upsilon(couplings, target)
-            if weight.is_zero():
-                continue
-            if not mi.is_populatable(target, k):
-                continue
-            he_source = target.half_edges() - k
-            if he_source < 0:
-                continue
-            denom_target = factorial(k) * mi.hat_sym_factor(target)
-            for source in mi.iter_monomials_within(he_source, he_source):
-                if source.half_edges() != he_source:
+            subtracted = None
+            for target, coef in mi.apply_D(source, k).items():
+                if not rule.admits(target):
                     continue
-                if not mi.is_divergent(source, p) or not mi.is_populatable(source):
+                weight = mi.upsilon(couplings, target)
+                if weight.is_zero() or not mi.is_populatable(target, k):
                     continue
-                pairing = mi.apply_D(source, k).coeff(target) * mi.sym_factor(target)
-                if not pairing:
-                    continue
-                subtracted = pi.on_lincomb(antipode_M(source, p, rule))
+                if subtracted is None:
+                    subtracted = pi.on_lincomb(antipode_M(source, p, rule))
                 gamma = gamma - subtracted * weight * SymbolicValue.constant(
-                    pairing / (denom_target * mi.sym_factor(source))
+                    coef * mi.sym_factor(target)
+                    / (factorial(k) * mi.hat_sym_factor(target) * mi.sym_factor(source))
                 )
         out[k] = gamma
     return out

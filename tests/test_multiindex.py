@@ -20,10 +20,14 @@ Core claims (hand-checked oracles):
     - reduced coproduct goldens: the z4^n closed form for n=2..5 and 12, a
       16-coefficient extraction on z2 z4^2, and the full-extraction term
       that only the unruled coproduct keeps
+    - the unruled reduced coproduct is adjoint to simultaneous insertion on
+      iter_monomials_within(12, 5) at ell in {-1, -3/2}, d = 3: each term
+      (f, t) has coef * S(f) * S(t) = S(m) * [m](f * t), and every forest of
+      extraction candidates with a trunk t != z0 where [m](f * t) != 0 is a
+      term
 """
 
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 
@@ -189,6 +193,8 @@ def test_apply_D_goldens():
     assert twice.coeff(_m("z3 z5")) == 2
     assert len(twice) == 2
     assert apply_D(_m("z3^2"), 0) == LinComb.single(_m("z3^2"))
+    with pytest.raises(ValueError):
+        apply_D(_m("z3^2"), -1)
 
 
 def test_insert_golden_matches_diagram_side():
@@ -200,17 +206,12 @@ def test_insert_golden_matches_diagram_side():
     assert len(unruled) == 2
 
 
-@lru_cache(maxsize=None)
-def _D_power(b, k):
-    return LinComb.single(b) if k == 0 else apply_D(_D_power(b, k - 1))
-
-
 def _insert_formula(b, a, rule):
     """Oracle: sum_k (D^k z^b) * (d/dz_k z^a), kept where the rule admits it."""
     acc = []
     for k in a.support():
         stripped = a.shift(k, -1)
-        for mono, coef in _D_power(b, k).items():
+        for mono, coef in apply_D(b, k).items():
             product = mono.mul(stripped)
             if rule is None or rule.admits(product):
                 acc.append((product, coef * a.get(k)))
@@ -345,3 +346,57 @@ def test_rule_parse_and_admits():
 def test_degree_params_are_frozen():
     with pytest.raises(Exception):
         P.d = 4  # type: ignore[misc]
+
+
+# -- adjointness of extraction and insertion ----------------------------------------
+
+def _forests_of(candidates, he_left, contractions_left, start=0):
+    """Nonempty multisets of candidates within a half-edge and contraction budget."""
+    for j in range(start, len(candidates)):
+        gamma = candidates[j]
+        he, shrink = gamma.half_edges(), gamma.norm() - 1
+        if he <= he_left and shrink <= contractions_left:
+            yield (gamma,)
+            for rest in _forests_of(candidates, he_left - he, contractions_left - shrink, j):
+                yield (gamma,) + rest
+
+
+def _trunks_of(half_edges, vertices):
+    """Every monomial with exactly these counts, arity-0 vertices included."""
+    if half_edges == 0:
+        return [MultiIndex.single(0, vertices)]
+    return [
+        t.mul(MultiIndex.single(0, vertices - t.norm()))
+        for t in iter_monomials_within(half_edges, vertices)
+        if t.half_edges() == half_edges
+    ]
+
+
+def test_coproduct_is_adjoint_to_simultaneous_insertion():
+    z0 = MultiIndex.single(0)
+    monomials = terms = 0
+    for ell in (Fraction(-1), Fraction(-3, 2)):
+        p = DegreeParams(ell, 3)
+        for m in iter_monomials_within(12, 5):
+            s_m = sym_factor(m)
+            reduced = coproduct_reduced(m, p)
+            for (forest, trunk), coef in reduced.items():
+                dual = simultaneous_insert(forest, trunk).coeff(m)
+                assert coef * sym_factor_forest(forest) * sym_factor(trunk) == s_m * dual, (
+                    m,
+                    forest,
+                    trunk,
+                )
+            keys = set(reduced.keys())
+            for parts in _forests_of(extraction_candidates(m, p), m.half_edges(), m.norm() - 1):
+                forest = MIForest(parts)
+                he_trunk = m.half_edges() - sum(g.half_edges() for g in parts)
+                vertices = m.norm() - sum(g.norm() - 1 for g in parts)
+                for trunk in _trunks_of(he_trunk, vertices):
+                    # m * z0 = m is the full extraction, the primitive term m (x) 1
+                    # of the full coproduct and not a reduced term
+                    if trunk != z0 and simultaneous_insert(forest, trunk).coeff(m):
+                        assert (forest, trunk) in keys, (m, forest, trunk)
+            monomials += 1
+            terms += len(reduced)
+    assert (monomials, terms) == (392, 749)

@@ -6,19 +6,21 @@ Core claims:
       vertices in 2^3 = 8 (the labeled triangles)
     - multiplicity-matrix enumeration reproduces the same totals through
       the prod k! / prod m! counting formula
-    - the component helper and the connected-realization predicate agree
-      with small hand-checked instances
+    - the component helper and the connected-realization predicate
+      (matching_exists with no free legs) agree with small hand-checked
+      instances
     - the degree criterion for a connected loopless realization agrees with
       exhaustive matching search on every sequence of at most 5 vertices,
       degrees at most 5 and at most 12 half-edges
-    - free-leg matching existence respects parity and self-pairing limits
+    - free-leg matching existence respects parity and self-pairing limits,
+      and agrees with a search over every per-vertex leg split on arities
+      0..5, at most 4 vertices, at most 10 half-edges and every leg count
 """
 
 from itertools import combinations_with_replacement
 
 from bphz.pairings import (
     components,
-    connected_realization_exists,
     iter_labeled_matchings,
     iter_multiplicity_matrices,
     matching_exists,
@@ -92,19 +94,19 @@ def test_components_include_isolated_vertices():
 
 
 def test_degree_feasibility():
-    assert connected_realization_exists((0,))
-    assert not connected_realization_exists((2,))
-    assert connected_realization_exists((1, 1))
-    assert not connected_realization_exists((3, 1))
-    assert connected_realization_exists((6, 1, 1, 1, 1, 1, 1))
+    assert matching_exists((0,), 0)
+    assert not matching_exists((2,), 0)
+    assert matching_exists((1, 1), 0)
+    assert not matching_exists((3, 1), 0)
+    assert matching_exists((6, 1, 1, 1, 1, 1, 1), 0)
 
 
 def test_connected_realization():
-    assert connected_realization_exists((2, 2))
-    assert connected_realization_exists((2, 2, 2))
-    assert not connected_realization_exists((1, 1, 1, 1))
-    assert connected_realization_exists((3, 3))
-    assert not connected_realization_exists((4, 2, 1))
+    assert matching_exists((2, 2), 0)
+    assert matching_exists((2, 2, 2), 0)
+    assert not matching_exists((1, 1, 1, 1), 0)
+    assert matching_exists((3, 3), 0)
+    assert not matching_exists((4, 2, 1), 0)
 
 
 def _search_connected(degrees):
@@ -121,7 +123,7 @@ def test_connected_realization_agrees_with_exhaustive_search():
         for degrees in combinations_with_replacement(range(6), n):
             if sum(degrees) > 12:
                 continue
-            assert connected_realization_exists(degrees) == _search_connected(degrees), degrees
+            assert matching_exists(degrees, 0) == _search_connected(degrees), degrees
             checked += 1
     assert checked == 296
 
@@ -133,3 +135,37 @@ def test_matching_exists_with_free_legs():
     assert not matching_exists((3, 3), 1)
     assert not matching_exists((2,), 0)
     assert matching_exists((2, 2), 0)
+
+
+def _leg_splits(arities, legs):
+    """Every way to put `legs` free legs on the vertices, at most k_v on vertex v."""
+    if not arities:
+        if legs == 0:
+            yield ()
+        return
+    for take in range(min(legs, arities[0]) + 1):
+        for rest in _leg_splits(arities[1:], legs - take):
+            yield (take,) + rest
+
+
+def _search_with_legs(arities, legs):
+    """Oracle: some leg split whose paired half-edges match into a connected graph."""
+    return any(
+        _search_connected(tuple(k - l for k, l in zip(arities, split)))
+        for split in _leg_splits(arities, legs)
+    )
+
+
+def test_matching_exists_agrees_with_search_over_leg_splits():
+    checked = 0
+    for n in range(1, 5):
+        for arities in combinations_with_replacement(range(6), n):
+            if sum(arities) > 10:
+                continue
+            for legs in range(sum(arities) + 1):
+                assert matching_exists(arities, legs) == _search_with_legs(arities, legs), (
+                    arities,
+                    legs,
+                )
+                checked += 1
+    assert checked == 1028
