@@ -73,14 +73,8 @@ def _pair_terms(comb: LinComb) -> tuple[list[dict], list[str]]:
 
 
 def _comb_terms(comb: LinComb) -> tuple[list[dict], list[str]]:
-    rows = []
-    lines = []
-    for key, coef in comb.items():
-        rows.append({"key": str(key), **_frac_json(coef)})
-        lines.append("{:>12}  {}".format(str(coef), key))
-    if not lines:
-        lines = ["0"]
-    return rows, lines
+    lines = ["{:>12}  {}".format(str(coef), key) for key, coef in comb.items()] or ["0"]
+    return comb.to_json(), lines
 
 
 def _output_terms(out: renorm.RenormOutput) -> tuple[list[dict], list[str]]:

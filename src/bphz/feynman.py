@@ -634,60 +634,24 @@ def simultaneous_insert_F(
     """Insert every forest component at a distinct cut vertex of g.
 
     Sums over ordered injective assignments of components to vertices and
-    over all reattachment choices of the cut edges: an edge from a cut
-    vertex to a survivor picks a vertex in that component; an edge between
-    two cut vertices picks one vertex in each.
+    over all reattachment choices of the cut edges: an edge end at a
+    survivor stays, and an end at a cut vertex moves to any vertex of the
+    component inserted there, independently for every end.
     """
     if f.is_empty():
         raise ValueError("simultaneous insertion needs a nonempty forest")
-    n = len(f)
-    if n > g.vertex_count:
-        return LinComb.zero()
     bodies = [part.diagram for part in f.parts()]
     acc: list[tuple[CanonDiagram, Scalar]] = []
-    for cut_sites in permutations(range(g.vertex_count), n):
-        site_of = {v: i for i, v in enumerate(cut_sites)}
-        survivors = [v for v in range(g.vertex_count) if v not in site_of]
-        survivor_label = {v: i for i, v in enumerate(survivors)}
-        offsets = []
-        pos = len(survivors)
-        for body in bodies:
-            offsets.append(pos)
-            pos += body.vertex_count
+    for cut_sites in permutations(range(g.vertex_count), len(bodies)):
+        survivors = [v for v in range(g.vertex_count) if v not in cut_sites]
+        options: dict[int, Sequence[int]] = {v: (i,) for i, v in enumerate(survivors)}
         base_edges: list[Edge] = []
-        for i, body in enumerate(bodies):
-            base_edges.extend(
-                (offsets[i] + u, offsets[i] + v) for u, v in body.edges
-            )
-        choice_sets: list[list[Edge]] = []
-        for a, b in g.edges:
-            if a in site_of and b in site_of:
-                i, j = site_of[a], site_of[b]
-                choice_sets.append(
-                    [
-                        (offsets[i] + x, offsets[j] + y)
-                        for x in range(bodies[i].vertex_count)
-                        for y in range(bodies[j].vertex_count)
-                    ]
-                )
-            elif a in site_of:
-                i = site_of[a]
-                choice_sets.append(
-                    [
-                        (survivor_label[b], offsets[i] + x)
-                        for x in range(bodies[i].vertex_count)
-                    ]
-                )
-            elif b in site_of:
-                i = site_of[b]
-                choice_sets.append(
-                    [
-                        (survivor_label[a], offsets[i] + x)
-                        for x in range(bodies[i].vertex_count)
-                    ]
-                )
-            else:
-                choice_sets.append([(survivor_label[a], survivor_label[b])])
+        pos = len(survivors)
+        for v, body in zip(cut_sites, bodies):
+            options[v] = range(pos, pos + body.vertex_count)
+            base_edges.extend((pos + x, pos + y) for x, y in body.edges)
+            pos += body.vertex_count
+        choice_sets = [product(options[a], options[b]) for a, b in g.edges]
         for picks in product(*choice_sets):
             merged = Diagram._unchecked(pos, base_edges + list(picks))
             if not _admits(merged, rule):

@@ -233,9 +233,15 @@ def cumulant_series(
 ) -> RenormOutput:
     """The coupling expansion: populatable admissible monomials with weight
     upsilon(m) / hat-symmetry-factor."""
+    # every exponent vector over the rule's arities within the half-edge budget
+    monomials = [MultiIndex.unit()]
+    for k in sorted(rule.arities):
+        monomials = [
+            m.shift(k, e) for m in monomials for e in range((max_half_edges - m.half_edges()) // k + 1)
+        ]
     terms = []
-    for m in mi.iter_monomials_within(max_half_edges, max_half_edges):
-        if not rule.admits(m) or not mi.is_populatable(m):
+    for m in monomials:
+        if not mi.is_populatable(m):
             continue
         weight = mi.upsilon(couplings, m)
         if weight.is_zero():

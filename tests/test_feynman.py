@@ -31,6 +31,10 @@ Core claims (hand-checked oracles):
       independent cut-a-vertex-and-graft-its-legs construction on every
       pair of connected diagrams with at most 4 edges each and 7 in all,
       with and without the rule {2,4}
+    - simultaneous insertion of two-part forests of diagrams with at most
+      2 edges into hosts with at most 3 edges equals the same construction
+      at ordered, distinct cut vertices, the double edge included, where
+      both ends of every host edge are cut
     - edge-by-edge enumeration agrees with an independent
       multiplicity-matrix enumeration
 """
@@ -38,7 +42,7 @@ Core claims (hand-checked oracles):
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial, prod
 
 import pytest
@@ -420,26 +424,32 @@ def test_block_extractions_match_mask_loop_on_lifts():
 
 # -- insertion ------------------------------------------------------------------------
 
-def _cut_graft_insert(g1: Diagram, g2: Diagram, rule) -> LinComb:
-    """Oracle: cut each vertex v of g2 and graft each of its edges onto g1.
+def _cut_graft_insert(bodies: list[Diagram], g2: Diagram, rule) -> LinComb:
+    """Oracle: cut distinct vertices v_1, ..., v_n of g2, in every order, and
+    graft bodies[i] at v_i.
 
-    The edges of v become legs at their other endpoints; every assignment
-    of legs to vertices of g1 (repetition allowed) is one merged diagram,
-    kept when its arities all lie in the rule.
+    Each edge end at v_i becomes a leg of bodies[i]; every assignment of
+    legs to vertices of their bodies (repetition allowed) is one merged
+    diagram, kept when its arities all lie in the rule.
     """
     acc = []
-    for v in range(g2.vertex_count):
-        survivors = [w for w in range(g2.vertex_count) if w != v]
+    ends = [w for edge in g2.edges for w in edge]
+    for sites in permutations(range(g2.vertex_count), len(bodies)):
+        survivors = [w for w in range(g2.vertex_count) if w not in sites]
         label = {w: i for i, w in enumerate(survivors)}
+        first, size = {}, {}
         shift = len(survivors)
-        body = [(label[a], label[b]) for a, b in g2.edges if v not in (a, b)]
-        body += [(shift + a, shift + b) for a, b in g1.edges]
-        legs = [label[b if a == v else a] for a, b in g2.edges if v in (a, b)]
-        for targets in product(range(g1.vertex_count), repeat=len(legs)):
-            merged = Diagram(
-                shift + g1.vertex_count,
-                body + [(anchor, shift + t) for anchor, t in zip(legs, targets)],
-            )
+        body_edges = []
+        for v, body in zip(sites, bodies):
+            first[v], size[v] = shift, body.vertex_count
+            body_edges += [(shift + a, shift + b) for a, b in body.edges]
+            shift += body.vertex_count
+        legs = [i for i, w in enumerate(ends) if w in first]
+        for targets in product(*(range(size[ends[i]]) for i in legs)):
+            placed = [label.get(w) for w in ends]
+            for i, t in zip(legs, targets):
+                placed[i] = first[ends[i]] + t
+            merged = Diagram(shift, body_edges + list(zip(placed[::2], placed[1::2])))
             if rule is None or all(k in rule.arities for k in merged.arities()):
                 acc.append((canonicalize(merged), 1))
     return LinComb(acc)
@@ -453,7 +463,7 @@ def test_insert_matches_cut_graft_oracle():
             if g1.edge_count() + g2.edge_count() > 7:
                 continue
             for rule in (None, RULE):
-                assert insert_F(g1, g2, rule) == _cut_graft_insert(g1, g2, rule), (g1, g2)
+                assert insert_F(g1, g2, rule) == _cut_graft_insert([g1], g2, rule), (g1, g2)
                 cases += 1
     assert cases == 512
 
@@ -470,8 +480,25 @@ def test_insert_golden():
 
 def test_simultaneous_insert_single_component_reduces():
     f = DiagForest.of(canonicalize(III))
-    assert simultaneous_insert_F(f, YII, None) == _cut_graft_insert(III, YII, None)
-    assert simultaneous_insert_F(f, YII, RULE) == _cut_graft_insert(III, YII, RULE)
+    assert simultaneous_insert_F(f, YII, None) == _cut_graft_insert([III], YII, None)
+    assert simultaneous_insert_F(f, YII, RULE) == _cut_graft_insert([III], YII, RULE)
+
+
+def test_simultaneous_insert_matches_cut_graft_oracle():
+    pieces = list(iter_connected_diagrams(2))
+    host_classes = list(iter_connected_diagrams(3))
+    # both vertices of the double edge are cut, so both ends of each edge move
+    assert canonicalize(YII) in host_classes
+    hosts = [canon.diagram for canon in host_classes]
+    cases = 0
+    for parts in combinations_with_replacement(pieces, 2):
+        f = DiagForest(parts)
+        bodies = [part.diagram for part in f.parts()]
+        for g in hosts:
+            for rule in (None, RULE):
+                assert simultaneous_insert_F(f, g, rule) == _cut_graft_insert(bodies, g, rule), (f, g)
+                cases += 1
+    assert cases == 96
 
 
 def test_simultaneous_insert_needs_enough_cut_sites():

@@ -14,6 +14,10 @@ Core claims (hand-checked oracles):
       formula sum_k (D^k z^b) * (d/dz_k z^a) on every pair of
       iter_monomials_within(10, 4) x iter_monomials_within(8, 3), with and
       without the rule {2,4}
+    - simultaneous insertion of forests of iter_monomials_within(6, 2),
+      repeats included (every two-part forest, three-part ones up to 10
+      half-edges), into iter_monomials_within(8, 3) equals the ordered sum of D^{k_i} gamma_i times the partials
+      d/dz_{k_i} applied one at a time, with and without the rule {2,4}
     - extraction candidates: the arity cone of m keeps exactly those
       monomials of the global scan (every populatable divergent monomial
       within m's half-edge and vertex counts) with some D^k image dividing m
@@ -28,10 +32,12 @@ Core claims (hand-checked oracles):
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from bphz.lincomb import LinComb
+from bphz.lincomb import product as lin_product
 from bphz.multiindex import (
     DegreeParams,
     MIForest,
@@ -234,6 +240,46 @@ def test_simultaneous_insert_single_component_reduces():
     a = _m("z2^2")
     for rule in (None, RULE):
         assert simultaneous_insert(f, a, rule) == _insert_formula(_m("z3^2"), a, rule)
+
+
+def _stepwise_insert(f, a):
+    """Oracle: sum over ordered (k_1, ..., k_n) of (prod_i D^{k_i} gamma_i) times
+    d/dz_{k_n} ... d/dz_{k_1} z^a, one partial at a time: each takes the
+    current multiplicity of z_{k_i} as its factor and removes one z_{k_i}."""
+    total = LinComb.zero()
+    parts = f.parts()
+    for ks in product(range(a.max_arity() + 1), repeat=len(parts)):
+        trunk, weight = a, 1
+        for k in ks:
+            weight *= trunk.get(k)
+            if not weight:
+                break
+            trunk = trunk.shift(k, -1)
+        if not weight:
+            continue
+        poly = LinComb.single(trunk, weight)
+        for gamma, k in zip(parts, ks):
+            poly = lin_product(poly, apply_D(gamma, k), MultiIndex.mul)
+        total = total + poly
+    return total
+
+
+def test_simultaneous_insert_matches_stepwise_partials():
+    pieces = list(iter_monomials_within(6, 2))
+    hosts = list(iter_monomials_within(8, 3))
+    cases = 0
+    for n, max_half_edges in ((2, 12), (3, 10)):
+        for parts in combinations_with_replacement(pieces, n):
+            f = MIForest(parts)
+            if f.product().half_edges() > max_half_edges:
+                continue
+            for a in hosts:
+                expected = _stepwise_insert(f, a)
+                assert simultaneous_insert(f, a) == expected, (f, a)
+                ruled = LinComb((m, c) for m, c in expected.items() if RULE.admits(m))
+                assert simultaneous_insert(f, a, RULE) == ruled, (f, a)
+                cases += 2
+    assert cases == 23600
 
 
 # -- extraction candidates ------------------------------------------------------

@@ -8,7 +8,8 @@ Core claims (hand-checked oracles):
       (moments minus proper partitions) agrees with it
     - the Wick moment equals the brute-force pairing sum
     - cumulant series of a quartic coupling: alpha^2/2 on z4^2 and
-      -alpha^3/6 on z4^3
+      -alpha^3/6 on z4^3; under rules {2,4} and {1,3,4} at 12, 16 and 32
+      half-edges the series equals the scan of every monomial in the bound
     - counterterm goldens: gamma_4 = 0, gamma_2 = 48 alpha^2 Pi[triple]
       (8 alpha^2 times the lifted z3^2 value), gamma_0 =
       12 alpha^2 Pi[quadruple] - 288 alpha^3 Pi[doubled-triangle]
@@ -24,8 +25,17 @@ import pytest
 from bphz import valuation
 from bphz.bridge import lift_P
 from bphz.feynman import Diagram, canonicalize, iter_connected_diagrams
-from bphz.multiindex import DegreeParams, MultiIndex, Rule
+from bphz.multiindex import (
+    DegreeParams,
+    MultiIndex,
+    Rule,
+    hat_sym_factor,
+    is_populatable,
+    iter_monomials_within,
+    upsilon,
+)
 from bphz.pairings import iter_labeled_matchings
+from bphz.renorm import RenormOutput
 from bphz.symvalue import SymbolicValue
 from bphz.valuation import (
     KernelSpec,
@@ -188,6 +198,19 @@ def test_cumulant_series_quartic():
     assert series.coeff(_m("z4^2")) == ALPHA * ALPHA * half
     assert series.coeff(_m("z4^3")) == -(ALPHA ** 3) * sixth
     assert all(k.get(4) >= 2 for k in series.keys())
+
+
+def test_cumulant_series_matches_scan_of_all_monomials():
+    for rule in (RULE, Rule.parse("1,3,4")):
+        couplings = {k: SymbolicValue.symbol("g{}".format(k)) for k in rule.arities}
+        for max_half_edges in (12, 16, 32):
+            terms = []
+            for m in iter_monomials_within(max_half_edges, max_half_edges):
+                if rule.admits(m) and is_populatable(m):
+                    weight = upsilon(couplings, m) * SymbolicValue.constant(Fraction(1, hat_sym_factor(m)))
+                    terms.append((m, weight))
+            series = cumulant_series(couplings, P, rule, max_half_edges)
+            assert series == RenormOutput(terms), (rule, max_half_edges)
 
 
 def test_counterterm_goldens():
