@@ -2,17 +2,19 @@
 
 The counting map sends a diagram to the monomial of its vertex arities;
 the lift sends a monomial to the weighted sum of connected diagrams
-obtained by pairing its half-edges.  This module implements both, the
-pairing census that grounds the weights (grouped by multiplicity
-matrix; the tests check it against labeled brute force), and the
-orbit-stabilizer / adjointness / commuting-square checks that tie the
-two sides together.
+obtained by pairing its half-edges.  The lift generates the isomorphism
+classes of those diagrams directly and weights each by S_M / |Aut Gamma|,
+the orbit-stabilizer count of the labeled pairings that form it.  The
+labeled pairing census (grouped by multiplicity matrix; the tests check it
+against labeled brute force) is the lift's oracle and serves the pairing
+counts with free legs.  The orbit-stabilizer / adjointness /
+commuting-square checks tie the two sides together.
 """
 
 from __future__ import annotations
 
 from math import comb, prod
-from typing import Iterator, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from . import pairings
 from .feynman import (
@@ -60,21 +62,28 @@ class PairingOutcome:
         )
 
 
-def _iter_leg_vectors(arities: list[int], free_legs: int) -> Iterator[tuple[int, ...]]:
-    """Per-vertex free-leg counts l with 0 <= l_v <= k_v and sum(l) == free_legs."""
-    n = len(arities)
-    legs = [0] * n
+def _capped_vectors(caps: Sequence[int], total: int) -> Iterator[tuple[int, ...]]:
+    """Vectors l with 0 <= l_i <= caps[i] and sum(l) == total, in lexicographic order.
 
-    def recurse(v: int, left: int) -> Iterator[tuple[int, ...]]:
-        if v == n:
+    The census takes them as free legs per vertex; the class generation as
+    the split of one vertex's open half-edges among the other open vertices.
+    """
+    n = len(caps)
+    room = [0] * (n + 1)  # room[i] = sum(caps[i:])
+    for i in range(n - 1, -1, -1):
+        room[i] = room[i + 1] + caps[i]
+    out = [0] * n
+
+    def recurse(i: int, left: int) -> Iterator[tuple[int, ...]]:
+        if i == n:
             if left == 0:
-                yield tuple(legs)
+                yield tuple(out)
             return
-        for take in range(min(left, arities[v]) + 1):
-            legs[v] = take
-            yield from recurse(v + 1, left - take)
+        for take in range(max(0, left - room[i + 1]), min(left, caps[i]) + 1):
+            out[i] = take
+            yield from recurse(i + 1, left - take)
 
-    yield from recurse(0, free_legs)
+    yield from recurse(0, total)
 
 
 def _census_key(
@@ -113,7 +122,7 @@ def _census(arities: tuple[int, ...], connected_only: bool, free_legs: int) -> d
     """Labeled pairing counts by bucket: the loop over (l, M) pairs."""
     n = len(arities)
     counts: dict = {}
-    for legs in _iter_leg_vectors(arities, free_legs):
+    for legs in _capped_vectors(arities, free_legs):
         subsets = prod(map(comb, arities, legs))
         residual = [k - l for k, l in zip(arities, legs)]
         for edges, count in pairings.iter_multiplicity_matrices(residual):
@@ -150,17 +159,76 @@ def enumerate_pairings(
     return PairingOutcome(_census(arities, connected_only, free_legs))
 
 
+def _connected_classes(arities: tuple[int, ...]) -> list[CanonDiagram]:
+    """The classes of connected loopless multigraphs with these vertex degrees.
+
+    Orderly generation over partial graphs (Read 1978; McKay, Isomorph-free
+    exhaustive generation, 1998).  A state is the canonical form of a
+    partial multigraph whose vertices are decorated by the half-edges they
+    still have open.  A step takes the first open vertex in canonical labels
+    and gives all of its open half-edges to the other open vertices, in
+    every split their open counts allow.  Every completion of a state fills
+    that vertex, and canonical relabeling carries completions to
+    completions, so every class is reached from the edgeless start.
+
+    A child is dropped when a component with no open half-edge is not the
+    whole graph, or when the open half-edges cannot pair without loops
+    (twice the largest count exceeds the sum).  One step can close several
+    vertices, so a graph may finish at different depths: states are
+    deduplicated in one set across all depths, and each finished state is
+    one class.
+    """
+    n = len(arities)
+    start, _, residual = _canonical_search(n, (), arities)
+    seen = {(start, residual)}
+    stack = [(start, residual)]
+    classes: list[CanonDiagram] = []
+    while stack:
+        edges, residual = stack.pop()
+        v = next(u for u in range(n) if residual[u])
+        targets = [u for u in range(n) if u != v and residual[u]]
+        for split in _capped_vectors([residual[u] for u in targets], residual[v]):
+            open_ends = list(residual)
+            open_ends[v] = 0
+            grown = list(edges)
+            for u, take in zip(targets, split):
+                open_ends[u] -= take
+                grown.extend([(v, u) if v < u else (u, v)] * take)
+            if 2 * max(open_ends) > sum(open_ends):
+                continue
+            parts = pairings.components(n, grown)
+            if len(parts) > 1 and any(not any(open_ends[w] for w in part) for part in parts):
+                continue
+            canon_edges, _, deco = _canonical_search(n, tuple(grown), tuple(open_ends))
+            state = (canon_edges, deco)
+            if state in seen:
+                continue
+            seen.add(state)
+            if any(deco):
+                stack.append(state)
+            else:
+                classes.append(canonicalize(Diagram._unchecked(n, canon_edges)))
+    return classes
+
+
 def lift_P(m: MultiIndex) -> LinComb[CanonDiagram]:
     """Lift to diagrams: sum of N(Gamma) * Gamma over connected pairings.
 
-    The coefficients are the connected vacuum census of the pairing loop
-    that `enumerate_pairings` runs; arity-0 vertices can never join a
-    connected diagram, so any monomial containing them lifts to zero.
+    N(Gamma) counts the labeled loopless pairings of the half-edges of m
+    that form Gamma.  They are one orbit of the group that permutes
+    vertices of equal arity and renumbers the half-edges at each vertex,
+    of order S_M(m), and the stabilizer of one of them has order
+    |Aut Gamma|, so N(Gamma) = S_M(m) / |Aut Gamma|.
+    The lift therefore only needs the classes, which `_connected_classes`
+    generates; the connected census of `enumerate_pairings` is the tests'
+    oracle for it.  Arity-0 vertices can never join a connected diagram,
+    so any monomial containing them lifts to zero.
     """
     arities = m.arity_list()
     if not arities or 0 in arities:
         return LinComb.zero()
-    return LinComb(_census(arities, True, 0))
+    s_m = sym_factor(m)
+    return LinComb((canon, s_m // canon.aut_order) for canon in _connected_classes(arities))
 
 
 def lift_P_forest(f: MIForest) -> LinComb[DiagForest]:

@@ -321,7 +321,7 @@ def apply_D(p: LinComb[MultiIndex] | MultiIndex, times: int = 1) -> LinComb[Mult
 def _project_rule(comb: LinComb[MultiIndex], rule: Rule | None) -> LinComb[MultiIndex]:
     if rule is None:
         return comb
-    return LinComb((mono, coef) for mono, coef in comb.items() if rule.admits(mono))
+    return LinComb((mono, coef) for mono, coef in comb._terms.items() if rule.admits(mono))
 
 
 def insert(b: MultiIndex, a: MultiIndex, rule: Rule | None = None) -> LinComb[MultiIndex]:
@@ -357,18 +357,19 @@ def _falling(n: int, steps: int) -> int:
     return out
 
 
-def _poly_mul(
-    a: LinComb[MultiIndex], b: LinComb[MultiIndex], bound: MultiIndex | None = None
-) -> LinComb[MultiIndex]:
-    """Multiply monomial combinations, optionally pruning above a bound."""
-    acc: list[tuple[MultiIndex, Scalar]] = []
-    for mono_a, coef_a in a.items():
-        for mono_b, coef_b in b.items():
-            joined = mono_a.mul(mono_b)
-            if bound is not None and not joined.submonomial_of(bound):
-                continue
-            acc.append((joined, coef_a * coef_b))
-    return LinComb(acc)
+def _poly_mul(a: LinComb[MultiIndex], b: LinComb[MultiIndex], bound: MultiIndex) -> LinComb[MultiIndex]:
+    """Multiply monomial combinations, keeping the products that divide bound.
+
+    Like `lincomb.product` and the other kernels of this module, it walks
+    the stored terms unsorted (`LinComb.items` sorts them by their text):
+    the coefficients are exact, so the order cannot change a sum.
+    """
+    return LinComb(
+        (joined, coef_a * coef_b)
+        for mono_a, coef_a in a._terms.items()
+        for mono_b, coef_b in b._terms.items()
+        if (joined := mono_a.mul(mono_b)).submonomial_of(bound)
+    )
 
 
 def simultaneous_insert(
@@ -390,10 +391,9 @@ def simultaneous_insert(
         if not taken.submonomial_of(a):
             continue
         weight = prod(_falling(a.get(k), t) for k, t in taken.beta().items())
-        poly = LinComb.single(a.minus(taken), weight)
-        for gamma, k in zip(parts, ks):
-            poly = _poly_mul(poly, _D_power(gamma, k))
-        acc.extend(poly.items())
+        start = LinComb.single(a.minus(taken), weight)
+        poly = multiplicative(lambda part: _D_power(*part), zip(parts, ks), start, MultiIndex.mul)
+        acc.extend(poly._terms.items())
     return _project_rule(LinComb(acc), rule)
 
 
@@ -524,7 +524,7 @@ def coproduct_reduced(
         shifts: dict[int, LinComb[MultiIndex]] = {}
         for k in range(min(he_m, top * gamma.norm()) - gamma.half_edges() + 1):
             piece = _D_power(gamma, k)
-            filtered = LinComb((mono, c) for mono, c in piece.items() if mono.submonomial_of(m))
+            filtered = LinComb((mono, c) for mono, c in piece._terms.items() if mono.submonomial_of(m))
             if filtered:
                 shifts[k] = filtered
         return shifts
@@ -545,7 +545,7 @@ def coproduct_reduced(
             for k, t in tally.items():
                 taken[k] = taken.get(k, 0) + t
         forest = MIForest(parts)
-        for sigma, coef in poly.items():
+        for sigma, coef in poly._terms.items():
             alpha_hat = m.minus(sigma)
             trunk = alpha_hat
             coef_partial = 1

@@ -10,7 +10,14 @@ Core claims (hand-checked oracles):
       iso-classes of P(z4^4); anything containing an isolatable z0 lifts
       to zero
     - the lift is the connected census on every monomial with at most 10
-      half-edges and 5 vertices
+      half-edges and 5 vertices, and on every one with at most 12
+      half-edges and 6 vertices plus z4^6, z3^6, z2 z4^5 and z3^4 z4^2
+    - beyond the census: the lift's coefficients sum to the number of
+      connected loopless labeled pairings, counted by inclusion-exclusion
+      over loops and the exponential formula; z4^2..z4^8 have 1, 1, 3, 6,
+      19, 50 and 204 classes
+    - a class counted twice, as when it finishes at two depths of the
+      generation, fails both oracles
     - orbit-stabilizer identity S_M = N * S_F on every diagram up to 6 edges
     - the lift is adjoint to the counting map on small pairs
     - the extraction square commutes for small populatable monomials,
@@ -19,7 +26,11 @@ Core claims (hand-checked oracles):
 
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
+import pytest
+
+from bphz import bridge
 from bphz.bridge import (
     _census_key,
     adjoint_phi_P_check,
@@ -167,6 +178,97 @@ def test_lift_equals_connected_census():
     assert len(monomials) == 112
     for m in monomials:
         assert lift_P(m) == LinComb(enumerate_pairings(m, connected_only=True).counts), m
+
+
+def _lift_matches_census(m: MultiIndex) -> bool:
+    return lift_P(m) == LinComb(enumerate_pairings(m, connected_only=True).counts)
+
+
+def test_lift_matches_census_up_to_twelve_half_edges():
+    monomials = list(iter_monomials_within(12, 6))
+    assert len(monomials) == 226
+    for m in monomials:
+        assert _lift_matches_census(m), str(m)
+    for text in ("z4^6", "z3^6", "z2 z4^5", "z3^4 z4^2"):
+        assert _lift_matches_census(_m(text)), text
+
+
+def _loopless_pairings(arities: list[int]) -> int:
+    """Loopless pairings of labeled half-edges, by inclusion-exclusion over loops.
+
+    A vertex of arity k holds j disjoint same-vertex pairs in
+    k! / (j! 2^j (k - 2j)!) ways (1 + 6x + 3x^2 for k = 4); fixing J such
+    pairs leaves (H - 2J - 1)!! pairings of the other half-edges.
+    """
+    poly = [1]
+    for k in arities:
+        loops = [factorial(k) // (factorial(j) * 2**j * factorial(k - 2 * j)) for j in range(k // 2 + 1)]
+        poly = [
+            sum(poly[i] * loops[d - i] for i in range(len(poly)) if 0 <= d - i < len(loops))
+            for d in range(len(poly) + len(loops) - 1)
+        ]
+    half_edges = sum(arities)
+    if half_edges % 2:
+        return 0
+    total = 0
+    for j, ways in enumerate(poly):
+        others = 1
+        for odd in range(half_edges - 2 * j - 1, 0, -2):
+            others *= odd
+        total += (-1) ** j * ways * others
+    return total
+
+
+def _connected_pairings(arities: tuple[int, ...]) -> int:
+    """Connected loopless labeled pairings, by the exponential formula.
+
+    The component of the lowest vertex of a vertex set S is some T inside
+    S holding it, so loopless(S) = sum_T connected(T) * loopless(S \\ T).
+    """
+    n = len(arities)
+    loopless = [_loopless_pairings([arities[v] for v in range(n) if s >> v & 1]) for s in range(1 << n)]
+    connected = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        low = s & -s
+        rest = s ^ low
+        total = loopless[s]
+        sub = rest
+        while sub:
+            # the proper subsets of rest, from the largest down to the empty one
+            sub = (sub - 1) & rest
+            total -= connected[sub | low] * loopless[rest ^ sub]
+        connected[s] = total
+    return connected[-1]
+
+
+def _lift_matches_count(m: MultiIndex) -> bool:
+    return sum(coef for _, coef in lift_P(m).items()) == _connected_pairings(m.arity_list())
+
+
+def test_connected_pairing_count_matches_census():
+    for m in iter_monomials_within(10, 5):
+        assert _connected_pairings(m.arity_list()) == enumerate_pairings(m, True).total(), str(m)
+
+
+def test_lift_of_quartic_towers_beyond_the_census():
+    sums = (24, 1728, 366336, 123752448, 61557719040, 42424382914560, 38731526205603840)
+    classes = (1, 1, 3, 6, 19, 50, 204)
+    for n, total, count in zip(range(2, 9), sums, classes):
+        lifted = lift_P(MultiIndex.single(4, n))
+        assert len(lifted) == count, n
+        assert sum(coef for _, coef in lifted.items()) == total == _connected_pairings((4,) * n), n
+    for text in ("z3^8", "z2^2 z3^2 z4^3", "z1 z3 z5 z6^2"):
+        assert _lift_matches_count(_m(text)), text
+
+
+@pytest.mark.parametrize("text", ["z2^6", "z4^4", "z2 z3^2 z4"])
+def test_lift_oracles_fail_on_a_class_counted_twice(monkeypatch, text):
+    """A class filed once per depth at which it finishes doubles its coefficient."""
+    m = _m(text)
+    generate = bridge._connected_classes
+    monkeypatch.setattr(bridge, "_connected_classes", lambda arities: generate(arities)[:1] + generate(arities))
+    assert not _lift_matches_census(m)
+    assert not _lift_matches_count(m)
 
 
 def test_lift_forest_multiplies_components():

@@ -123,6 +123,20 @@ def test_lift_golden(capsys):
     ]
 
 
+def test_lift_z4_7_is_pinned(capsys):
+    """The 50 classes of z4^7, as the labeled census printed them."""
+    rc, out, err = run(capsys, "lift", "--expr", "z4^7", "--json")
+    assert rc == 0 and err == ""
+    digest = "095688d3f15569064773d40c92c5ce5626bd6b19fbcc3143cff30be6d0c12f92"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_lift_z4_8_lists_its_classes(capsys):
+    rc, payload = run_json(capsys, "lift", "--expr", "z4^8", "--json")
+    assert rc == 0
+    assert len(payload["terms"]) == 204
+
+
 def test_degree_respects_parameters(capsys):
     rc, out, _ = run(capsys, "degree", "--expr", "z4^2")
     assert rc == 0 and out == "-1\n"
