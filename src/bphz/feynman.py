@@ -24,11 +24,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial, prod
+from math import ceil, factorial, prod
 from typing import Iterable, Iterator, Sequence, Tuple
 
 from .lincomb import Forest, LinComb, Scalar
-from .multiindex import DegreeParams, ExpressionError, MIForest, MultiIndex, Rule, _skip_ws
+from .multiindex import DegreeParams, ExpressionError, MIForest, MultiIndex, Rule, _degree, _skip_ws
 from .pairings import components
 
 Edge = Tuple[int, int]
@@ -480,8 +480,8 @@ def counting_map(g: Diagram | DiagForest) -> MultiIndex | MIForest:
 
 
 def degree(g: Diagram, p: DegreeParams) -> Scalar:
-    """deg Gamma = ell * |edges| + d * (|vertices| - 1)."""
-    return p.ell * g.edge_count() + p.d * (g.vertex_count - 1)
+    """deg Gamma = ell * |edges| + d * (|vertices| - 1), the degree of its census."""
+    return _degree(2 * g.edge_count(), g.vertex_count, p)
 
 
 def is_divergent(g: Diagram, p: DegreeParams) -> bool:
@@ -518,9 +518,12 @@ def divergent_extractions(
         rows[v].append((1 << u, m))
         adjacent[u] |= 1 << v
         adjacent[v] |= 1 << u
-    # deg = ell*|E| + d*(|V|-1) <= 0  iff  ell*|E| <= -d*(|V|-1)
-    ell_edges = [p.ell * k for k in range(g.edge_count() + 1)]
-    bound = [-p.d * (k - 1) for k in range(n + 1)]
+    # deg = ell*|E| + d*(|V|-1) <= 0  iff  |E| >= d*(|V|-1)/(-ell) when
+    # ell < 0; when ell >= 0 no block of two or more vertices is divergent.
+    if p.ell < 0:
+        min_edges = [ceil(p.d * (size - 1) / -p.ell) for size in range(n + 1)]
+    else:
+        min_edges = [g.edge_count() + 1] * (n + 1)
     inside = [0] * (full + 1)
     blocks: list[tuple[int, CanonDiagram]] = []
     for mask in range(1, full):
@@ -532,7 +535,7 @@ def divergent_extractions(
                 count += m
         inside[mask] = count
         size = mask.bit_count()
-        if size < 2 or ell_edges[count] > bound[size]:
+        if size < 2 or count < min_edges[size]:
             continue
         reached, frontier = low, low
         while frontier:

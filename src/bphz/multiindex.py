@@ -15,9 +15,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations_with_replacement, product
+from itertools import product
 from math import factorial, prod
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Tuple
 
 from . import pairings
 from .lincomb import Forest, LinComb, RationalLike, Scalar, apply_linear, as_scalar, multiplicative
@@ -334,22 +334,6 @@ def insert(b: MultiIndex, a: MultiIndex, rule: Rule | None = None) -> LinComb[Mu
     return simultaneous_insert(MIForest.of(b), a, rule)
 
 
-def _k_assignments(count: int, allowed: Sequence[int]) -> Iterator[tuple[dict[int, int], int]]:
-    """Ways to decorate `count` identical components with insertion arities.
-
-    Yields (multiset of k values as {k: t_k}, arrangement weight), the weight
-    counting ordered k-tuples that realize the multiset: count! / prod t_k!.
-    """
-    for combo in combinations_with_replacement(sorted(allowed), count):
-        tally: dict[int, int] = {}
-        for k in combo:
-            tally[k] = tally.get(k, 0) + 1
-        weight = factorial(count)
-        for t in tally.values():
-            weight //= factorial(t)
-        yield tally, weight
-
-
 def _falling(n: int, steps: int) -> int:
     out = 1
     for i in range(steps):
@@ -497,12 +481,20 @@ def coproduct_reduced(
     is the primitive term m (x) 1 of the full coproduct, as on the diagram
     side, where the whole diagram is never a proper extraction.
 
-    The coefficient of forest (x) trunk is
+    Forests are walked as multisets of entries (gamma, k, D^k gamma cut
+    to the divisors of m), one recursion taking entries in list order with
+    repeats.  A multiset that puts c_gamma copies of each component gamma
+    at shifts with counts t_{gamma,k} stands for c_gamma! / prod_k
+    t_{gamma,k}! ordered insertion tuples, so the coefficient of
+    forest (x) trunk is
 
-        S(beta) / (S(forest) * S(trunk)) * sum over ordered insertion
-        tuples of (arrangement count) * (iterated-partial falling
-        factorial) * (matching coefficient in the product of shifted
-        components).
+        S(beta) / (S(forest) * S(trunk)) * sum over multisets of
+        (ordered-tuple count) * (iterated-partial falling factorial) *
+        (matching coefficient in the product of the cut shifts).
+
+    D has positive coefficients, so when a multiset's product has a term
+    dividing m, so does the product of every prefix: a branch can end at
+    the first entry that exceeds the budgets or leaves no such term.
 
     Components are drawn from `extraction_candidates(m, p)`, the arity cone
     of m: monomials whose descending arity list is bounded entry by entry
@@ -512,39 +504,35 @@ def coproduct_reduced(
     cone has no usable shift and every one inside has at least one.
     """
     he_m = m.half_edges()
-    n_m = m.norm()
     top = m.max_arity()
-
-    def usable_shifts(gamma: MultiIndex) -> dict[int, LinComb[MultiIndex]]:
-        """D^k gamma cut down to the submonomials of m, for every k where it is nonzero.
-
-        D^k gamma has he(gamma) + k half-edges on |gamma| vertices, so it
-        divides m only for he(gamma) + k <= min(he(m), top * |gamma|).
-        """
-        shifts: dict[int, LinComb[MultiIndex]] = {}
-        for k in range(min(he_m, top * gamma.norm()) - gamma.half_edges() + 1):
-            piece = _D_power(gamma, k)
-            filtered = LinComb((mono, c) for mono, c in piece._terms.items() if mono.submonomial_of(m))
-            if filtered:
-                shifts[k] = filtered
-        return shifts
-
-    candidate_shifts = [(gamma, usable_shifts(gamma)) for gamma in extraction_candidates(m, p)]
+    # D^k gamma has he(gamma) + k half-edges on |gamma| vertices, so it
+    # divides m only for he(gamma) + k <= min(he(m), top * |gamma|).
+    entries = [
+        (gamma, k, cut, gamma.half_edges() + k, gamma.norm() - 1)
+        for gamma in extraction_candidates(m, p)
+        for k in range(min(he_m, top * gamma.norm()) - gamma.half_edges() + 1)
+        if (cut := LinComb(
+            (mono, c) for mono, c in _D_power(gamma, k)._terms.items() if mono.submonomial_of(m)
+        ))
+    ]
 
     raw: dict[Tuple[MIForest, MultiIndex], Fraction] = {}
+    chosen: list[tuple[MultiIndex, int, LinComb[MultiIndex], int, int]] = []
 
-    def emit(
-        spec: list[tuple[MultiIndex, int, dict[int, int]]],
-        weight: int,
-        poly: LinComb[MultiIndex],
-    ) -> None:
+    def emit(poly: LinComb[MultiIndex]) -> None:
+        # chosen follows the order of entries, so the copies of a component,
+        # and of an entry, are consecutive.  The ordered insertion tuples
+        # realizing chosen number prod_gamma c_gamma! / prod_k t_{gamma,k}!,
+        # built up one entry at a time as weight * count(gamma) // count(entry).
+        weight = in_gamma = in_entry = 1
         taken: dict[int, int] = {}
-        parts: list[MultiIndex] = []
-        for gamma, count, tally in spec:
-            parts.extend([gamma] * count)
-            for k, t in tally.items():
-                taken[k] = taken.get(k, 0) + t
-        forest = MIForest(parts)
+        for i, entry in enumerate(chosen):
+            if i:
+                in_gamma = in_gamma + 1 if chosen[i - 1][0] is entry[0] else 1
+                in_entry = in_entry + 1 if chosen[i - 1] is entry else 1
+                weight = weight * in_gamma // in_entry
+            taken[entry[1]] = taken.get(entry[1], 0) + 1
+        forest = MIForest(entry[0] for entry in chosen)
         for sigma, coef in poly._terms.items():
             alpha_hat = m.minus(sigma)
             trunk = alpha_hat
@@ -555,56 +543,28 @@ def coproduct_reduced(
             key = (forest, trunk)
             raw[key] = raw.get(key, Fraction(0)) + weight * coef_partial * coef
 
-    def choose(
-        idx: int,
-        he_left: int,
-        contractions_left: int,
-        spec: list[tuple[MultiIndex, int, dict[int, int]]],
-        weight: int,
-        poly: LinComb[MultiIndex],
-    ) -> None:
+    def choose(start: int, he_left: int, contractions_left: int, poly: LinComb[MultiIndex]) -> None:
         # The he_left and contractions_left budgets are implied by the bound
         # in _poly_mul, but they skip a product before it is computed;
-        # without them the phi4 tower runs about 2.2x slower.  Sharing one
-        # kernel with simultaneous_insert was tried: it branched on its
-        # caller (bound vs caps, emit at node vs leaf) and ran the phi4
-        # antipode ladder about 20% slower.
-        if spec:
-            emit(spec, weight, poly)
-        for j in range(idx, len(candidate_shifts)):
-            gamma, shifts = candidate_shifts[j]
-            he_gamma = gamma.half_edges()
-            shrink = gamma.norm() - 1
-            if he_gamma > he_left or shrink > contractions_left:
+        # without them the phi4-tower bench plan runs about 1.9x slower
+        # (0.36 s against 0.66 s in process, median of nine fresh
+        # processes each, 2-vCPU VM, Python 3.11.7).  Sharing one kernel
+        # with simultaneous_insert was tried: it branched on its caller
+        # (bound vs caps, emit at node vs leaf) and ran the phi4 antipode
+        # ladder about 20% slower.
+        if chosen:
+            emit(poly)
+        for j in range(start, len(entries)):
+            _, _, cut, cost, shrink = entry = entries[j]
+            if cost > he_left or shrink > contractions_left:
                 continue
-            max_count = he_left // he_gamma
-            if shrink:
-                max_count = min(max_count, contractions_left // shrink)
-            for count in range(1, max_count + 1):
-                for tally, arrangements in _k_assignments(count, sorted(shifts)):
-                    cost = count * he_gamma + sum(k * t for k, t in tally.items())
-                    if cost > he_left:
-                        continue
-                    extended = poly
-                    for k, t in tally.items():
-                        for _ in range(t):
-                            extended = _poly_mul(extended, shifts[k], bound=m)
-                            if not extended:
-                                break
-                        if not extended:
-                            break
-                    if not extended:
-                        continue
-                    choose(
-                        j + 1,
-                        he_left - cost,
-                        contractions_left - count * shrink,
-                        spec + [(gamma, count, tally)],
-                        weight * arrangements,
-                        extended,
-                    )
+            extended = _poly_mul(poly, cut, bound=m)
+            if extended:
+                chosen.append(entry)
+                choose(j, he_left - cost, contractions_left - shrink, extended)
+                chosen.pop()
 
-    choose(0, he_m, n_m - 1, [], 1, LinComb.single(MultiIndex.unit()))
+    choose(0, he_m, m.norm() - 1, LinComb.single(MultiIndex.unit()))
 
     s_m = sym_factor(m)
     z0 = MultiIndex.single(0)
@@ -636,8 +596,14 @@ def coproduct_full(
     The default (formal trunks) is the explicit-formula coproduct, e.g.
     [z3^2] (x) [z2] for z4^2, and it is not coassociative, not even with
     the middle factor projected onto divergent forests (z5^2 at ell=-1,
-    d=3 under rule {2,4} fails).  The Hopf-algebra coproduct, the one the
-    recursions use, is trunk_in_image=True.
+    d=3 under rule {2,4} fails).  The recursions use trunk_in_image=True.
+    The tests check that variant coassociative, with the middle factor
+    projected onto divergent forests, on every monomial of at most 10
+    half-edges and 4 vertices at ell in {-1, -3/2}, with and without the
+    rule {2,4}.  Beyond that range it is not coassociative under the rule
+    off ell = -1: z3^4 (16 half-edges) fails at ell=-3/2, d=3, and so do
+    z4^5 and z4^6 in `bphz verify --ell=-3/2` (the ROADMAP open item on
+    the rule-projected coproduct).
     """
     acc: list[tuple[Tuple[MIForest, MIForest], Scalar]] = [
         ((MIForest.empty(), MIForest.of(m)), Fraction(1)),

@@ -398,6 +398,8 @@ ORACLE_PARAMS = (
     DegreeParams(Fraction(-1), 3),
     DegreeParams(Fraction(-3, 2), 3),
     DegreeParams(Fraction(-1), 4),
+    DegreeParams(Fraction(-2), 3),
+    DegreeParams(Fraction(1, 2), 3),
 )
 
 

@@ -28,9 +28,16 @@ Core claims (hand-checked oracles):
       iter_monomials_within(12, 5) at ell in {-1, -3/2}, d = 3: each term
       (f, t) has coef * S(f) * S(t) = S(m) * [m](f * t), and every forest of
       extraction candidates with a trunk t != z0 where [m](f * t) != 0 is a
-      term
+      term; at ell = -1 also on z3^3 z4 and z3^2 z4^2, the smallest monomials
+      there whose coefficients count the ordered tuples of a component
+      repeated at two shifts ([z3^2 . z3^2] (x) [z0 z1] = 12 and
+      [z3^2 . z3^2] (x) [z0 z2] = 16, against 6 and 8 without that count)
+    - the reduced coproduct over iter_monomials_within(14, 6) at ell in
+      {-1, -3/2, -2}, d = 3, with and without the rule {2,4}, hashes to a
+      digest recorded from the earlier per-component enumeration
 """
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -418,12 +425,18 @@ def _trunks_of(half_edges, vertices):
     ]
 
 
+# At ell = -1 no monomial within 12 half-edges has a coefficient that counts
+# the ordered tuples of one component at two shifts; these are the first.
+REPEATED_AT_TWO_SHIFTS = (MultiIndex.parse("z3^3 z4"), MultiIndex.parse("z3^2 z4^2"))
+
+
 def test_coproduct_is_adjoint_to_simultaneous_insertion():
     z0 = MultiIndex.single(0)
     monomials = terms = 0
     for ell in (Fraction(-1), Fraction(-3, 2)):
         p = DegreeParams(ell, 3)
-        for m in iter_monomials_within(12, 5):
+        extra = REPEATED_AT_TWO_SHIFTS if ell == -1 else ()
+        for m in (*iter_monomials_within(12, 5), *extra):
             s_m = sym_factor(m)
             reduced = coproduct_reduced(m, p)
             for (forest, trunk), coef in reduced.items():
@@ -445,4 +458,25 @@ def test_coproduct_is_adjoint_to_simultaneous_insertion():
                         assert (forest, trunk) in keys, (m, forest, trunk)
             monomials += 1
             terms += len(reduced)
-    assert (monomials, terms) == (392, 749)
+    assert (monomials, terms) == (394, 759)
+    p = DegreeParams(Fraction(-1), 3)
+    pair = MIForest.parse("z3^2 . z3^2")
+    low, high = REPEATED_AT_TWO_SHIFTS
+    assert coproduct_reduced(low, p).coeff((pair, MultiIndex.parse("z0 z1"))) == 12
+    assert coproduct_reduced(high, p).coeff((pair, MultiIndex.parse("z0 z2"))) == 16
+
+
+def test_coproduct_digest_is_pinned():
+    digest = hashlib.sha256()
+    terms = 0
+    for ell in (Fraction(-1), Fraction(-3, 2), Fraction(-2)):
+        p = DegreeParams(ell, 3)
+        for rule in (None, Rule(frozenset({2, 4}))):
+            for m in iter_monomials_within(14, 6):
+                for (forest, trunk), coef in coproduct_reduced(m, p, rule).items():
+                    digest.update("{}|{}|{}|{}|{}\n".format(ell, m, forest, trunk, coef).encode())
+                    terms += 1
+    assert (terms, digest.hexdigest()) == (
+        7615,
+        "74a17fe1437e3b0418e098702b1a0c02e2b7e58e43ac59362a5c54069771e6a0",
+    )
