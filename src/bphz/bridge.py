@@ -6,13 +6,15 @@ obtained by pairing its half-edges.  The lift generates the isomorphism
 classes of those diagrams directly and weights each by S_M / |Aut Gamma|,
 the orbit-stabilizer count of the labeled pairings that form it.  The
 labeled pairing census (grouped by multiplicity matrix; the tests check it
-against labeled brute force) is the lift's oracle and serves the pairing
-counts with free legs.  The orbit-stabilizer / adjointness /
+against labeled brute force) returns a ``collections.Counter`` of labeled
+pairings per bucket; it is the lift's oracle and serves the pairing counts
+with free legs.  The orbit-stabilizer / adjointness /
 commuting-square checks tie the two sides together.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import comb, prod
 from typing import Iterator, Sequence, Tuple
 
@@ -40,26 +42,6 @@ from .multiindex import (
     sym_factor,
     simultaneous_insert,
 )
-
-
-class PairingOutcome:
-    """Counts of labeled half-edge pairings bucketed by isomorphism class."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: dict):
-        self.counts = counts
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def get(self, key, default: int = 0) -> int:
-        return self.counts.get(key, default)
-
-    def __repr__(self) -> str:
-        return "PairingOutcome({} classes, {} pairings)".format(
-            len(self.counts), self.total()
-        )
 
 
 def _capped_vectors(caps: Sequence[int], total: int) -> Iterator[tuple[int, ...]]:
@@ -118,10 +100,10 @@ def _census_key(
     return DiagForest(parts)
 
 
-def _census(arities: tuple[int, ...], connected_only: bool, free_legs: int) -> dict:
+def _census(arities: tuple[int, ...], connected_only: bool, free_legs: int) -> Counter:
     """Labeled pairing counts by bucket: the loop over (l, M) pairs."""
     n = len(arities)
-    counts: dict = {}
+    counts = Counter()
     for legs in _capped_vectors(arities, free_legs):
         subsets = prod(map(comb, arities, legs))
         residual = [k - l for k, l in zip(arities, legs)]
@@ -129,13 +111,13 @@ def _census(arities: tuple[int, ...], connected_only: bool, free_legs: int) -> d
             if connected_only and len(pairings.components(n, edges)) != 1:
                 continue
             key = _census_key(arities, edges, legs, connected_only)
-            counts[key] = counts.get(key, 0) + subsets * count
+            counts[key] += subsets * count
     return counts
 
 
 def enumerate_pairings(
     m: MultiIndex, connected_only: bool, free_legs: int = 0
-) -> PairingOutcome:
+) -> Counter:
     """Half-edge pairing census, grouped by multiplicity matrix.
 
     Counts labeled pairings: vertices sorted by arity, half-edges numbered
@@ -144,7 +126,9 @@ def enumerate_pairings(
     are bucketed: connected vacuum pairings by canonical diagram,
     unrestricted vacuum pairings by diagram forest (isolated arity-0
     vertices are dropped: they contribute an empty factor), and legged
-    pairings by a leg-decorated canonical key.
+    pairings by a leg-decorated canonical key.  The result is a
+    ``Counter`` from bucket to labeled count: ``total()`` sums it, and a
+    bucket that no pairing reaches reads zero.
 
     A bucket depends only on the leg vector l (free legs per vertex) and
     the edge multiplicity matrix M of the paired half-edges, so each
@@ -155,8 +139,8 @@ def enumerate_pairings(
     arities = m.arity_list()
     total = sum(arities)
     if free_legs < 0 or free_legs > total or (total - free_legs) % 2:
-        return PairingOutcome({})
-    return PairingOutcome(_census(arities, connected_only, free_legs))
+        return Counter()
+    return _census(arities, connected_only, free_legs)
 
 
 def _connected_classes(arities: tuple[int, ...]) -> list[CanonDiagram]:
@@ -240,7 +224,7 @@ def orbit_stabilizer_check(g: Diagram) -> bool:
     """S_M(counting_map(g)) == N(g) * S_F(g) with N from the pairing census."""
     m = counting_map(g)
     canon = canonicalize(g)
-    n_count = enumerate_pairings(m, connected_only=True).get(canon)
+    n_count = enumerate_pairings(m, connected_only=True)[canon]
     return sym_factor(m) == n_count * canon.aut_order
 
 

@@ -190,7 +190,7 @@ def _cmd_pairings(args) -> int:
     outcome = bridge.enumerate_pairings(
         value, connected_only=not args.all, free_legs=args.free
     )
-    items = sorted(outcome.counts.items(), key=lambda kv: str(kv[0]))
+    items = sorted(outcome.items(), key=lambda kv: str(kv[0]))
     rows = [{"key": str(k), "count": v} for k, v in items]
     lines = ["{:>10}  {}".format(v, k) for k, v in items]
     lines.append("{:>10}  total".format(outcome.total()))

@@ -34,16 +34,24 @@ def in_negative_part_F(g: Diagram, p: DegreeParams) -> bool:
     return fy.is_divergent(g, p)
 
 
-def _antipode(top: Forest, reduced_items: Iterable, recurse: Callable) -> LinComb:
-    """-top - sum of coef * recurse(forest) * trunk: the antipode recursion.
+def _on_forest(component: Callable, f: Forest) -> LinComb:
+    """component extended multiplicatively to the forest f: the product of
+    its values on the parts, from the empty forest."""
+    return multiplicative(component, f.parts(), LinComb.single(type(f).empty()), type(f).merge)
+
+
+def _antipode(top: Forest, reduced_items: Iterable, component: Callable) -> LinComb:
+    """-top - sum of coef * component(forest) * trunk: the antipode recursion.
 
     top is the singleton forest of the element, reduced_items are the
-    ((forest, trunk), coef) terms of its reduced coproduct, and recurse is
-    the antipode extended multiplicatively to forests.
+    ((forest, trunk), coef) terms of its reduced coproduct, and component
+    is the antipode on one part; the recursion extends it to forests.
     """
     acc = LinComb.single(top, -1)
     for (forest, trunk), coef in reduced_items:
-        acc = acc - product(recurse(forest), LinComb.single(trunk, coef), type(top).add)
+        acc = acc - product(
+            _on_forest(component, forest), LinComb.single(trunk, coef), type(top).add
+        )
     return acc
 
 
@@ -60,19 +68,12 @@ def antipode_M(m: MultiIndex, p: DegreeParams, rule: Rule) -> LinComb[MIForest]:
     if not in_negative_part_M(m, p):
         return LinComb.zero()
     reduced = mi.coproduct_reduced(m, p, rule, trunk_in_image=True)
-    return _antipode(
-        MIForest.of(m), reduced.items(), lambda f: antipode_M_forest(f, p, rule)
-    )
+    return _antipode(MIForest.of(m), reduced.items(), lambda part: antipode_M(part, p, rule))
 
 
 def antipode_M_forest(f: MIForest, p: DegreeParams, rule: Rule) -> LinComb[MIForest]:
     """Multiplicative extension of the antipode to forests."""
-    return multiplicative(
-        lambda part: antipode_M(part, p, rule),
-        f.parts(),
-        LinComb.single(MIForest.empty()),
-        MIForest.merge,
-    )
+    return _on_forest(lambda part: antipode_M(part, p, rule), f)
 
 
 @cache
@@ -89,18 +90,7 @@ def hat_antipode_M(m: MultiIndex, p: DegreeParams, rule: Rule) -> LinComb[MIFore
     return _antipode(
         MIForest.of(m),
         (((f, t), c) for (f, t), c in reduced.items() if mi.is_divergent(t, p)),
-        lambda f: hat_antipode_M_forest(f, p, rule),
-    )
-
-
-def hat_antipode_M_forest(
-    f: MIForest, p: DegreeParams, rule: Rule
-) -> LinComb[MIForest]:
-    return multiplicative(
         lambda part: hat_antipode_M(part, p, rule),
-        f.parts(),
-        LinComb.single(MIForest.empty()),
-        MIForest.merge,
     )
 
 
@@ -121,17 +111,13 @@ def _antipode_F(canon: CanonDiagram, p: DegreeParams) -> LinComb[DiagForest]:
     return _antipode(
         DiagForest.of(canon),
         fy.coproduct_reduced_F(canon.diagram, p).items(),
-        lambda f: antipode_F_forest(f, p),
+        lambda part: _antipode_F(part, p),
     )
 
 
 def antipode_F_forest(f: DiagForest, p: DegreeParams) -> LinComb[DiagForest]:
-    return multiplicative(
-        lambda part: antipode_F(part.diagram, p),
-        f.parts(),
-        LinComb.single(DiagForest.empty()),
-        DiagForest.merge,
-    )
+    """Multiplicative extension of the antipode to forests of classes."""
+    return _on_forest(lambda part: _antipode_F(part, p), f)
 
 
 class Character:

@@ -175,7 +175,7 @@ def moment_oracle(m: MultiIndex, kernel: KernelSpec) -> float:
     """
     outcome = enumerate_pairings(m, connected_only=False)
     total = 0.0
-    for forest, count in outcome.counts.items():
+    for forest, count in outcome.items():
         total += count * value_F_numeric(forest, kernel)
     return total
 

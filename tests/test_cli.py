@@ -310,6 +310,76 @@ def test_type_mismatches_exit_two(capsys):
     assert "insert expects" in err
 
 
+BRIDGE = "n=3; e=1-2,1-3,2-3,2-3,2-3"
+
+
+def test_coproduct_of_a_diagram(capsys):
+    rc, out, err = run(capsys, "coproduct", "--expr", BRIDGE)
+    assert rc == 0 and err == ""
+    assert out == "           1  [n=2; e=1-2,1-2,1-2] (x) [n=2; e=1-2,1-2]\n"
+    rc, payload = run_json(capsys, "coproduct", "--expr", BRIDGE, "--full", "--json")
+    assert rc == 0
+    assert payload == {
+        "command": "coproduct",
+        "input": BRIDGE,
+        "terms": [
+            {"den": 1, "left": "1", "num": 1, "right": BRIDGE},
+            {"den": 1, "left": "n=2; e=1-2,1-2,1-2", "num": 1, "right": "n=2; e=1-2,1-2"},
+            {"den": 1, "left": BRIDGE, "num": 1, "right": "1"},
+        ],
+    }
+
+
+def test_bphz_and_degree_of_a_diagram(capsys):
+    rc, out, err = run(capsys, "bphz", "--expr", BRIDGE)
+    assert rc == 0 and err == ""
+    assert out == "(-Pi[n=2; e=1-2,1-2,1-2])  [n=2; e=1-2,1-2]\n(1)  [{}]\n".format(BRIDGE)
+    rc, payload = run_json(capsys, "bphz", "--expr", BRIDGE, "--json")
+    assert rc == 0
+    assert payload["terms"] == [
+        {"basis": "n=2; e=1-2,1-2", "coefficient": "-Pi[n=2; e=1-2,1-2,1-2]"},
+        {"basis": BRIDGE, "coefficient": "1"},
+    ]
+    rc, out, _ = run(capsys, "degree", "--expr", BRIDGE)
+    assert rc == 0 and out == "1\n"
+    rc, out, _ = run(capsys, "degree", "--expr", BRIDGE, "--ell=-3/2")
+    assert rc == 0 and out == "-3/2\n"
+
+
+def test_lift_of_a_forest(capsys):
+    rc, payload = run_json(capsys, "lift", "--expr", "z3^2 . z3^2", "--json")
+    assert rc == 0
+    assert payload["terms"] == [
+        {"den": 1, "key": "n=2; e=1-2,1-2,1-2 . n=2; e=1-2,1-2,1-2", "num": 36}
+    ]
+
+
+def test_insert_forest_into_monomial(capsys):
+    rc, payload = run_json(
+        capsys, "insert", "--expr", "z3^2 . z3^2", "--into", "z2^2", "--json"
+    )
+    assert rc == 0
+    assert payload["piece"] == "z3^2 . z3^2"
+    assert payload["terms"] == [{"den": 1, "key": "z4^4", "num": 8}]
+
+
+@pytest.mark.parametrize(
+    "command,expr,message",
+    [
+        ("coproduct", "z2 . z4^2", "coproduct expects a monomial or a diagram"),
+        ("antipode", "z2 . z4^2", "antipode expects a monomial or a diagram"),
+        ("lift", BRIDGE, "lift expects a monomial or a forest"),
+        ("pairings", BRIDGE, "pairings expects a monomial"),
+        ("pairings", "z3^2 . z3^2", "pairings expects a monomial"),
+    ],
+)
+def test_each_command_refuses_the_wrong_type(capsys, command, expr, message):
+    rc, out, err = run(capsys, command, "--expr", expr)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: {}\n".format(message)
+
+
 def test_bad_rule_exits_two(capsys):
     rc, _, err = run(capsys, "antipode", "--expr", "z4^2", "--rule", "2,x")
     assert rc == 2
