@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import bridge, checks, feynman as fy, multiindex as mi, renorm, valuation
 from .feynman import Diagram
-from .lincomb import LinComb, as_scalar
+from .lincomb import LinComb, Scalar, as_scalar
 from .multiindex import DegreeParams, MIForest, MultiIndex, Rule
 from .multiindex import ExpressionError  # noqa: F401  (importable from here too)
 
@@ -56,7 +56,7 @@ def _print(payload: dict, lines: list[str], args) -> None:
         sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _frac_json(coef: Fraction) -> dict:
+def _frac_json(coef: Scalar) -> dict:
     return {"num": coef.numerator, "den": coef.denominator}
 
 

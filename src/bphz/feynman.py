@@ -28,7 +28,16 @@ from math import ceil, factorial, prod
 from typing import Iterable, Iterator, Sequence, Tuple
 
 from .lincomb import Forest, LinComb, Scalar
-from .multiindex import DegreeParams, ExpressionError, MIForest, MultiIndex, Rule, _degree, _skip_ws
+from .multiindex import (
+    DegreeParams,
+    ExpressionError,
+    MIForest,
+    MultiIndex,
+    Rule,
+    _degree,
+    _scaled_degree,
+    _skip_ws,
+)
 from .pairings import components
 
 Edge = Tuple[int, int]
@@ -479,13 +488,13 @@ def counting_map(g: Diagram | DiagForest) -> MultiIndex | MIForest:
     return MultiIndex(acc)
 
 
-def degree(g: Diagram, p: DegreeParams) -> Scalar:
+def degree(g: Diagram, p: DegreeParams) -> Fraction:
     """deg Gamma = ell * |edges| + d * (|vertices| - 1), the degree of its census."""
     return _degree(2 * g.edge_count(), g.vertex_count, p)
 
 
 def is_divergent(g: Diagram, p: DegreeParams) -> bool:
-    return degree(g, p) <= 0
+    return _scaled_degree(2 * g.edge_count(), g.vertex_count, p) <= 0
 
 
 def divergent_extractions(
@@ -594,7 +603,7 @@ def coproduct_reduced_F(
     """Reduced diagram coproduct: extraction pairs with iso multiplicities."""
     acc: list[tuple[Tuple[DiagForest, CanonDiagram], Scalar]] = []
     for forest, trunk in divergent_extractions(g, p):
-        acc.append(((forest, canonicalize(trunk)), Fraction(1)))
+        acc.append(((forest, canonicalize(trunk)), 1))
     return LinComb(acc)
 
 
@@ -608,8 +617,8 @@ def coproduct_full_F(
     """
     me = canonicalize(g)
     acc: list[tuple[Tuple[DiagForest, DiagForest], Scalar]] = [
-        ((DiagForest.empty(), DiagForest.of(me)), Fraction(1)),
-        ((DiagForest.of(me), DiagForest.empty()), Fraction(1)),
+        ((DiagForest.empty(), DiagForest.of(me)), 1),
+        ((DiagForest.of(me), DiagForest.empty()), 1),
     ]
     for (forest, trunk), coef in coproduct_reduced_F(g, p).items():
         acc.append(((forest, DiagForest.of(trunk)), coef))
@@ -659,7 +668,7 @@ def simultaneous_insert_F(
             merged = Diagram._unchecked(pos, base_edges + list(picks))
             if not _admits(merged, rule):
                 continue
-            acc.append((canonicalize(merged), Fraction(1)))
+            acc.append((canonicalize(merged), 1))
     return LinComb(acc)
 
 

@@ -28,7 +28,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import Callable, Generic, Hashable, Iterable, Iterator, Tuple, TypeVar
 
-Scalar = Fraction
+Scalar = int | Fraction
 
 B = TypeVar("B", bound=Hashable)
 
@@ -36,14 +36,28 @@ RationalLike = int | str | Fraction
 
 
 def as_scalar(value: RationalLike) -> Scalar:
-    """Coerce an int, ``p/q`` string, or Fraction to an exact Scalar."""
-    return value if isinstance(value, Fraction) else Fraction(value)
+    """Coerce an int, ``p/q`` string, or Fraction to an exact Scalar.
+
+    The result is an ``int`` when the value is integral, else a
+    ``Fraction``; both compare, hash and print alike.  Floats are refused,
+    so a stray ``/`` between ints fails here instead of passing as an
+    inexact binary fraction.
+    """
+    # type(), not isinstance: a bool would keep printing as True/False.
+    if type(value) is int:
+        return value
+    if not isinstance(value, Fraction):
+        if isinstance(value, float):
+            raise TypeError("inexact coefficient {!r}".format(value))
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class LinComb(Generic[B]):
     """Immutable finite linear combination with exact coefficients.
 
-    Coefficients pass through ``_coerce`` (``as_scalar`` here, so rationals).
+    Coefficients pass through ``_coerce`` (``as_scalar`` here, so rationals:
+    an ``int`` when integral, else a ``Fraction``).
     Zero coefficients are never stored; two combinations are equal iff
     they are of the same class and store the same key -> coefficient map.
     """

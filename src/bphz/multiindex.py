@@ -213,7 +213,8 @@ class DegreeParams:
     d: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ell", as_scalar(self.ell))
+        # a Fraction even when integral, so that ell / 2 stays exact
+        object.__setattr__(self, "ell", Fraction(self.ell))
         if self.ell >= 1:
             raise ValueError("ell must be < 1")
         if self.d < 1:
@@ -281,17 +282,23 @@ def upsilon(couplings: Mapping[int, SymbolicValue | RationalLike], m: MultiIndex
     return out
 
 
-def degree(m: MultiIndex, p: DegreeParams) -> Scalar:
+def degree(m: MultiIndex, p: DegreeParams) -> Fraction:
     """deg z^beta = (ell/2) * sum k*beta(k) + d * (|beta| - 1)."""
     return _degree(m.half_edges(), m.norm(), p)
 
 
-def _degree(half_edges: int, vertices: int, p: DegreeParams) -> Scalar:
+def _degree(half_edges: int, vertices: int, p: DegreeParams) -> Fraction:
     return p.ell / 2 * half_edges + p.d * (vertices - 1)
 
 
+def _scaled_degree(half_edges: int, vertices: int, p: DegreeParams) -> int:
+    """2 * den(ell) * degree, an integer with the sign of the degree."""
+    ell = p.ell
+    return ell.numerator * half_edges + 2 * ell.denominator * p.d * (vertices - 1)
+
+
 def is_divergent(m: MultiIndex, p: DegreeParams) -> bool:
-    return degree(m, p) <= 0
+    return _scaled_degree(m.half_edges(), m.norm(), p) <= 0
 
 
 @cache
@@ -386,8 +393,8 @@ def inner_product(a: MIForest | MultiIndex, b: MIForest | MultiIndex) -> Scalar:
     fa = MIForest.of(a) if isinstance(a, MultiIndex) else a
     fb = MIForest.of(b) if isinstance(b, MultiIndex) else b
     if fa != fb:
-        return Fraction(0)
-    return Fraction(sym_factor_forest(fa))
+        return 0
+    return sym_factor_forest(fa)
 
 
 def is_populatable(m: MultiIndex, free_legs: int = 0) -> bool:
@@ -442,15 +449,16 @@ def extraction_candidates(m: MultiIndex, p: DegreeParams) -> tuple[MultiIndex, .
     out: list[MultiIndex] = []
 
     def recurse(cap: int, half_edges: int, acc: list[int]) -> None:
-        deg = _degree(half_edges, len(acc), p)
+        deg = _scaled_degree(half_edges, len(acc), p)
         if half_edges >= 2 and deg <= 0:
             gamma = MultiIndex((k, 1) for k in acc)
             if is_populatable(gamma):
                 out.append(gamma)
-        # deg is -d plus ell*k/2 + d per vertex of arity k.  At deg > 0 some
-        # vertex, of arity >= cap, adds a positive amount; that amount is
-        # linear in k and positive (d) at k = 0, so a further vertex of any
-        # arity k <= cap raises deg too and no extension is divergent.
+        # deg (the degree times 2 den(ell)) is -c plus num(ell)*k + c per
+        # vertex of arity k, with c = 2 den(ell) d.  At deg > 0 some vertex,
+        # of arity >= cap, adds a positive amount; that amount is linear in
+        # k and positive (c) at k = 0, so a further vertex of any arity
+        # k <= cap raises deg too and no extension is divergent.
         if deg > 0:
             return
         if len(acc) < len(bounds):
@@ -516,7 +524,7 @@ def coproduct_reduced(
         ))
     ]
 
-    raw: dict[Tuple[MIForest, MultiIndex], Fraction] = {}
+    raw: dict[Tuple[MIForest, MultiIndex], int] = {}
     chosen: list[tuple[MultiIndex, int, LinComb[MultiIndex], int, int]] = []
 
     def emit(poly: LinComb[MultiIndex]) -> None:
@@ -541,7 +549,7 @@ def coproduct_reduced(
                 coef_partial *= _falling(alpha_hat.get(k) + t, t)
                 trunk = trunk.shift(k, t)
             key = (forest, trunk)
-            raw[key] = raw.get(key, Fraction(0)) + weight * coef_partial * coef
+            raw[key] = raw.get(key, 0) + weight * coef_partial * coef
 
     def choose(start: int, he_left: int, contractions_left: int, poly: LinComb[MultiIndex]) -> None:
         # The he_left and contractions_left budgets are implied by the bound
@@ -576,7 +584,7 @@ def coproduct_reduced(
             continue
         if trunk_in_image and not is_populatable(trunk):
             continue
-        coefficient = value * s_m / (sym_factor_forest(forest) * sym_factor(trunk))
+        coefficient = Fraction(value * s_m, sym_factor_forest(forest) * sym_factor(trunk))
         out.append(((forest, trunk), coefficient))
     return LinComb(out)
 
@@ -606,8 +614,8 @@ def coproduct_full(
     the rule-projected coproduct).
     """
     acc: list[tuple[Tuple[MIForest, MIForest], Scalar]] = [
-        ((MIForest.empty(), MIForest.of(m)), Fraction(1)),
-        ((MIForest.of(m), MIForest.empty()), Fraction(1)),
+        ((MIForest.empty(), MIForest.of(m)), 1),
+        ((MIForest.of(m), MIForest.empty()), 1),
     ]
     reduced = coproduct_reduced(m, p, rule, trunk_in_image=trunk_in_image)
     for (forest, trunk), coef in reduced.items():

@@ -1,21 +1,21 @@
 """Exact polynomials in named commuting generators.
 
 ``SymbolicValue`` carries valuation results: polynomials with rational
-coefficients in formal generators such as ``Pi[<diagram>]`` (one per
-connected-diagram class) and coupling symbols like ``alpha``.  A
-polynomial is the ``LinComb`` over generator monomials, so construction,
-sums, scaling, equality and hashing are the free module's; the product is
-``lincomb.product`` with monomials multiplying by adding exponents.
+coefficients (an ``int`` when integral, else a ``Fraction``) in formal
+generators such as ``Pi[<diagram>]`` (one per connected-diagram class) and
+coupling symbols like ``alpha``.  A polynomial is the ``LinComb`` over
+generator monomials, so construction, sums, scaling, equality and hashing
+are the free module's; the product is ``lincomb.product`` with monomials
+multiplying by adding exponents.
 Monomials passed to the constructor must already be normalized: sorted
 ``((generator, exponent), ...)`` with positive exponents.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Tuple
 
-from .lincomb import LinComb, RationalLike, product
+from .lincomb import LinComb, RationalLike, Scalar, product
 
 Monomial = Tuple[Tuple[str, int], ...]  # sorted ((generator, exponent), ...)
 
@@ -52,11 +52,11 @@ class SymbolicValue(LinComb):
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self) -> Tuple[Tuple[Monomial, Fraction], ...]:
+    def terms(self) -> Tuple[Tuple[Monomial, Scalar], ...]:
         """Terms sorted by monomial tuple (the constant term first)."""
         return tuple(sorted(self._terms.items()))
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self) -> Scalar:
         return self.coeff(())
 
     def __add__(self, other: "SymbolicValue | RationalLike") -> "SymbolicValue":

@@ -291,8 +291,10 @@ def counterterms(
                 if subtracted is None:
                     subtracted = pi.on_lincomb(antipode_M(source, p, rule))
                 gamma = gamma - subtracted * weight * SymbolicValue.constant(
-                    coef * mi.sym_factor(target)
-                    / (factorial(k) * mi.hat_sym_factor(target) * mi.sym_factor(source))
+                    Fraction(
+                        coef * mi.sym_factor(target),
+                        factorial(k) * mi.hat_sym_factor(target) * mi.sym_factor(source),
+                    )
                 )
         out[k] = gamma
     return out

@@ -37,6 +37,9 @@ Core claims (hand-checked oracles):
       both ends of every host edge are cut
     - edge-by-edge enumeration agrees with an independent
       multiplicity-matrix enumeration
+    - is_divergent, decided on integers, follows the sign of the degree on
+      every connected diagram with at most 6 edges at seven ells in
+      [-2, 1/2], d = 3
 """
 
 import random
@@ -311,6 +314,14 @@ def test_degree_goldens():
     assert is_divergent(III, P)
     assert is_divergent(IV, P)
     assert not is_divergent(YII, P)
+
+
+def test_is_divergent_follows_the_degree_sign_on_connected_diagrams():
+    for ell in ("-1", "-3/2", "-2", "-1/2", "-4/3", "0", "1/2"):
+        p = DegreeParams(Fraction(ell), 3)
+        for canon in iter_connected_diagrams(6):
+            g = canon.diagram
+            assert is_divergent(g, p) == (degree(g, p) <= 0), (ell, g)
 
 
 # -- extraction coproduct ------------------------------------------------------------

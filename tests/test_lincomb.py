@@ -10,6 +10,9 @@ Core claims:
     - the public API (bphz.__all__) is pinned, and every name the
       benchmark tracer (bench/spans.py) wraps or counts still resolves
     - JSON round-trips coefficients as numerator/denominator pairs
+    - as_scalar returns an int for an integral value and a Fraction
+      otherwise, and refuses floats; DegreeParams.ell and degree() stay
+      Fractions
 """
 
 import importlib.util
@@ -22,13 +25,30 @@ import pytest
 import bphz
 from bphz.feynman import DiagForest, Diagram, canonicalize
 from bphz.lincomb import Forest, LinComb, apply_linear, as_scalar, multiplicative, product
-from bphz.multiindex import MIForest, MultiIndex
+from bphz.multiindex import DegreeParams, MIForest, MultiIndex, degree
 
 
 def test_as_scalar_accepts_ints_strings_fractions():
     assert as_scalar(3) == Fraction(3)
     assert as_scalar("-1/2") == Fraction(-1, 2)
     assert as_scalar(Fraction(7, 3)) == Fraction(7, 3)
+
+
+def test_as_scalar_is_an_int_when_integral_and_refuses_floats():
+    assert type(as_scalar(Fraction(6, 3))) is int
+    two = as_scalar("4/2")
+    assert two == 2 and type(two) is int
+    half = as_scalar("-3/2")
+    assert half == Fraction(-3, 2) and type(half) is Fraction
+    # a bool is coerced, so it never prints as True
+    assert type(as_scalar(True)) is int and str(LinComb.single("a", True)) == "1*(a)"
+    with pytest.raises(TypeError):
+        as_scalar(0.5)
+    with pytest.raises(TypeError):
+        LinComb.single("a", 0.5)
+    p = DegreeParams(-1, 3)
+    assert type(p.ell) is Fraction
+    assert type(degree(MultiIndex.parse("z4^3"), p)) is Fraction
 
 
 def test_construction_merges_and_prunes():

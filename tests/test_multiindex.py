@@ -35,6 +35,12 @@ Core claims (hand-checked oracles):
     - the reduced coproduct over iter_monomials_within(14, 6) at ell in
       {-1, -3/2, -2}, d = 3, with and without the rule {2,4}, hashes to a
       digest recorded from the earlier per-component enumeration
+    - every coefficient of the reduced coproduct with trunks in the image
+      is stored as an int: 5,473 terms over iter_monomials_within(16, 6)
+      at ell in {-1, -3/2, -2}, d = 3, with and without the rule {2,4}
+    - the integer divergence test: _scaled_degree is 2 den(ell) times the
+      degree on iter_monomials_within(16, 6) at seven ells in [-2, 1/2],
+      d = 3, and is_divergent follows the sign of the degree
 """
 
 import hashlib
@@ -52,6 +58,7 @@ from bphz.multiindex import (
     Rule,
     apply_D,
     coproduct_full,
+    _scaled_degree,
     coproduct_reduced,
     degree,
     extraction_candidates,
@@ -480,3 +487,29 @@ def test_coproduct_digest_is_pinned():
         7615,
         "74a17fe1437e3b0418e098702b1a0c02e2b7e58e43ac59362a5c54069771e6a0",
     )
+
+
+def test_coproduct_coefficients_are_ints():
+    terms = 0
+    for ell in (Fraction(-1), Fraction(-3, 2), Fraction(-2)):
+        p = DegreeParams(ell, 3)
+        for rule in (None, RULE):
+            for m in iter_monomials_within(16, 6):
+                reduced = coproduct_reduced(m, p, rule, trunk_in_image=True)
+                for key, coef in reduced.items():
+                    assert type(coef) is int, (ell, rule, m, key, coef)
+                    terms += 1
+    assert terms == 5473
+
+
+def test_scaled_degree_is_the_degree_times_twice_the_denominator_of_ell():
+    cases = 0
+    for ell in ("-1", "-3/2", "-2", "-1/2", "-4/3", "0", "1/2"):
+        p = DegreeParams(Fraction(ell), 3)
+        for m in iter_monomials_within(16, 6):
+            exact = degree(m, p)
+            scaled = _scaled_degree(m.half_edges(), m.norm(), p)
+            assert type(scaled) is int and scaled == 2 * p.ell.denominator * exact, (ell, m)
+            assert is_divergent(m, p) == (exact <= 0), (ell, m)
+            cases += 1
+    assert cases == 4431

@@ -3,7 +3,9 @@
 Core claims (hand-checked oracles):
     - negative-part membership needs divergence and populatability
     - monomial antipode: A(z3^2) = -z3^2, A(z4^2) = -z4^2,
-      A(z4^3) = -z4^3, A(z4^n) = 0 for n >= 4; multiplicative on forests
+      A(z4^3) = -z4^3, A(z4^n) = 0 for n >= 4; multiplicative on forests;
+      its 143 coefficients over iter_monomials_within(14, 6) at
+      ell in {-1, -3/2}, d = 3, rule {2,4} are stored as ints
     - diagram antipode: primitive divergent diagrams negate; the bridged
       diagram gets the two-term expression; guarded by negative-part
       membership it vanishes off the negative part
@@ -124,6 +126,16 @@ def test_antipode_M_goldens():
     assert antipode_M(_m("z4^4"), P, RULE) == LinComb.zero()
     assert antipode_M(_m("z4^5"), P, RULE) == LinComb.zero()
     assert antipode_M(_m("z2"), P, RULE) == LinComb.zero()
+
+
+def test_antipode_M_coefficients_are_ints():
+    terms = 0
+    for p in (P, P32):
+        for m in iter_monomials_within(14, 6):
+            for forest, coef in antipode_M(m, p, RULE).items():
+                assert type(coef) is int, (p, m, forest, coef)
+                terms += 1
+    assert terms == 143
 
 
 def test_antipode_M_forest_is_multiplicative():

@@ -10,6 +10,9 @@ Core claims:
     - substitution and evaluation agree with direct arithmetic
     - string form and terms() are canonical: sorted by monomial tuple,
       independent of construction order
+    - an integral coefficient is the same value whether it is stored as an
+      int or as a Fraction (left by sums such as 1/2 + 1/2, or by scaling):
+      LinComb and SymbolicValue compare, hash, print and serialize alike
 """
 
 from fractions import Fraction
@@ -149,3 +152,36 @@ def test_canonical_form_ignores_construction_order(terms, rng):
     assert p.terms() == q.terms()
     assert SymbolicValue(terms) == p
     assert list(p.terms()) == sorted(p.terms())
+
+
+@st.composite
+def integral_terms(draw):
+    """Distinct polynomial monomials with nonzero integer coefficients."""
+    exponents = st.tuples(*[st.integers(0, 2)] * len(SYMBOLS))
+    out = []
+    for exps in draw(st.lists(exponents, unique=True, max_size=4)):
+        mono = tuple((name, e) for name, e in zip(SYMBOLS, exps) if e)
+        out.append((mono, draw(st.integers(-9, 9).filter(bool))))
+    return out
+
+
+@PROPERTY
+@given(integral_terms())
+def test_integral_coefficients_look_alike_as_int_or_fraction(terms):
+    for cls in (LinComb, SymbolicValue):
+        direct = cls(terms)
+        as_fractions = cls((key, Fraction(c)) for key, c in terms)
+        via_halves = cls.zero()
+        via_scaling = cls.zero()
+        for key, c in terms:
+            via_halves = via_halves + cls.single(key, Fraction(2 * c + 1, 2))
+            via_halves = via_halves + cls.single(key, Fraction(-1, 2))
+            via_scaling = via_scaling + cls.single(key, Fraction(c, 3)).scale(3)
+        assert all(type(c) is int for _, c in direct.items())
+        assert all(type(c) is Fraction for _, c in via_halves.items())
+        for other in (as_fractions, via_halves, via_scaling):
+            assert other == direct
+            assert hash(other) == hash(direct)
+            assert str(other) == str(direct)
+            assert repr(other) == repr(direct)
+            assert other.to_json() == direct.to_json()
