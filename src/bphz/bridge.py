@@ -7,14 +7,16 @@ classes of those diagrams directly and weights each by S_M / |Aut Gamma|,
 the orbit-stabilizer count of the labeled pairings that form it.  The
 labeled pairing census (grouped by multiplicity matrix; the tests check it
 against labeled brute force) returns a ``collections.Counter`` of labeled
-pairings per bucket; it is the lift's oracle and serves the pairing counts
-with free legs.  The orbit-stabilizer / adjointness /
-commuting-square checks tie the two sides together.
+pairings per bucket, memoized per arity tuple; it is the lift's oracle,
+feeds the moments and serves the pairing counts with free legs.  The
+orbit-stabilizer / adjointness / commuting-square checks tie the two
+sides together.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from math import comb, prod
 from typing import Iterator, Sequence, Tuple
 
@@ -100,8 +102,13 @@ def _census_key(
     return DiagForest(parts)
 
 
+@cache
 def _census(arities: tuple[int, ...], connected_only: bool, free_legs: int) -> Counter:
-    """Labeled pairing counts by bucket: the loop over (l, M) pairs."""
+    """Labeled pairing counts by bucket: the loop over (l, M) pairs.
+
+    Memoized per (arities, connected_only, free_legs); callers get a copy
+    from `enumerate_pairings`, so the cached ``Counter`` is never mutated.
+    """
     n = len(arities)
     counts = Counter()
     for legs in _capped_vectors(arities, free_legs):
@@ -128,7 +135,8 @@ def enumerate_pairings(
     vertices are dropped: they contribute an empty factor), and legged
     pairings by a leg-decorated canonical key.  The result is a
     ``Counter`` from bucket to labeled count: ``total()`` sums it, and a
-    bucket that no pairing reaches reads zero.
+    bucket that no pairing reaches reads zero.  Each call returns a fresh
+    copy of the memoized census.
 
     A bucket depends only on the leg vector l (free legs per vertex) and
     the edge multiplicity matrix M of the paired half-edges, so each
@@ -140,7 +148,7 @@ def enumerate_pairings(
     total = sum(arities)
     if free_legs < 0 or free_legs > total or (total - free_legs) % 2:
         return Counter()
-    return _census(arities, connected_only, free_legs)
+    return Counter(_census(arities, connected_only, free_legs))
 
 
 def _connected_classes(arities: tuple[int, ...]) -> list[CanonDiagram]:

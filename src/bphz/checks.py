@@ -77,11 +77,11 @@ def adjoint_inner_check(
 
 
 def valuations_agree(m: MultiIndex, kernel: valuation.KernelSpec) -> bool:
-    """value_M (the lift) and value_M_recursive (the moments) agree to 1e-9."""
-    direct = valuation.value_M(m, kernel)
-    recursive = valuation.value_M_recursive(m, kernel)
-    scale = max(abs(direct), abs(recursive), 1e-30)
-    return abs(direct - recursive) <= 1e-9 * scale
+    """value_M (the lift) and value_M_recursive (the moments) are equal.
+
+    Both are exact rationals, so any difference at all is a failure.
+    """
+    return valuation.value_M(m, kernel) == valuation.value_M_recursive(m, kernel)
 
 
 def _symbol_character(name: str) -> renorm.Character:

@@ -67,7 +67,7 @@ class LinComb(Generic[B]):
     _coerce = staticmethod(as_scalar)
 
     def __init__(self, terms: Mapping[B, RationalLike] | Iterable[Tuple[B, RationalLike]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if type(terms) is dict or isinstance(terms, Mapping) else terms
         coerce = self._coerce
         acc: dict = {}
         for key, raw in items:

@@ -52,7 +52,7 @@ class MultiIndex:
     __slots__ = ("_entries",)
 
     def __init__(self, beta: Mapping[int, int] | Iterable[Tuple[int, int]] = ()):
-        items = beta.items() if isinstance(beta, Mapping) else beta
+        items = beta.items() if type(beta) is dict or isinstance(beta, Mapping) else beta
         acc: dict[int, int] = {}
         for k, mult in items:
             if k < 0 or mult < 0:

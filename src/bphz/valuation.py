@@ -1,48 +1,55 @@
 """Valuations: exact symbolic and numeric evaluation of diagrams and monomials.
 
 A diagram evaluates either to a formal generator (one symbol per
-isomorphism class) or to a number: the normalized lattice sum of kernel
-products over all vertex placements on a torus.  Monomial values are
-pushed through the lift; the moment/cumulant recursion provides an
-independent route to the same numbers.  On top of these sit the coupling
-series, the counterterms, and the end-to-end quartic example report.
+isomorphism class) or to an exact rational: the normalized lattice sum of
+kernel products over all vertex placements on a torus, computed by vertex
+elimination over integers.  Monomial values are pushed through the lift;
+the moment/cumulant recursion provides an independent route to the same
+numbers.  On top of these sit the coupling series, the counterterms, and
+the end-to-end quartic example report.
 
-Lattice sums are memoized per (canonical class, kernel) by a
-``functools.cache`` on `_lattice_sum`; the moment recursion memoizes
-its sub-monomials within one call only.
+Two ``functools`` caches memoize the numeric values: `_lattice_sum` per
+(canonical class, kernel) and `_connected_value`, the moment recursion,
+per (monomial, kernel).  The pairing census behind the moments is
+memoized in `bphz.bridge`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import factorial
-from typing import Mapping
+from math import factorial, lcm
+from operator import mul
+from typing import Iterable, Mapping
 
 from . import feynman as fy
 from . import multiindex as mi
 from .bridge import enumerate_pairings, lift_P
-from .feynman import CanonDiagram, DiagForest, Diagram
-from .lincomb import LinComb
+from .feynman import CanonDiagram, DiagForest, Diagram, Edge
+from .lincomb import LinComb, Scalar, as_scalar
 from .multiindex import DegreeParams, MIForest, MultiIndex, Rule
 from .renorm import Character, RenormOutput, antipode_M, bphz_M, in_negative_part_M
 from .symvalue import SymbolicValue
 
 
 class KernelSpec:
-    """A symmetric kernel on the discrete torus (Z/N)^d.
+    """A symmetric kernel on the discrete torus (Z/N)^d, with exact values.
 
-    Values are stored flat in row-major order over offsets in [0, N)^d;
-    symmetry under negation of the offset is required.
+    Values are stored flat in row-major order over offsets in [0, N)^d as
+    ``Fraction``s; an int, a ``p/q`` string or a float converts exactly
+    (``Fraction(v)``).  Symmetry under negation of the offset is required.
+    The hash is computed once, because the valuation memos look the
+    kernel up on every call.
     """
 
-    __slots__ = ("d", "N", "values")
+    __slots__ = ("d", "N", "values", "_hash")
 
     def __init__(self, d: int, N: int, values):
         if d < 1 or N < 1:
             raise ValueError("kernel needs d >= 1 and N >= 1")
-        values = tuple(float(v) for v in values)
+        values = tuple(Fraction(v) for v in values)
         if len(values) != N**d:
             raise ValueError(
                 "kernel needs {} values for d={}, N={}".format(N**d, d, N)
@@ -50,11 +57,10 @@ class KernelSpec:
         self.d = d
         self.N = N
         self.values = values
+        self._hash = hash((d, N, values))
         for offset in product(range(N), repeat=d):
             mirror = tuple((N - x) % N for x in offset)
-            a = values[self._flat(offset)]
-            b = values[self._flat(mirror)]
-            if abs(a - b) > 1e-12 * max(1.0, abs(a), abs(b)):
+            if values[self._flat(offset)] != values[self._flat(mirror)]:
                 raise ValueError("kernel is not symmetric under negation")
 
     def _flat(self, offset) -> int:
@@ -63,7 +69,7 @@ class KernelSpec:
             idx = idx * self.N + x
         return idx
 
-    def at(self, x, y) -> float:
+    def at(self, x, y) -> Fraction:
         """Kernel value at the offset x - y, componentwise mod N."""
         offset = tuple((a - b) % self.N for a, b in zip(x, y))
         return self.values[self._flat(offset)]
@@ -73,7 +79,7 @@ class KernelSpec:
         return cls(int(payload["d"]), int(payload["N"]), payload["K"])
 
     def to_json(self) -> dict:
-        return {"d": self.d, "N": self.N, "K": list(self.values)}
+        return {"d": self.d, "N": self.N, "K": [str(v) for v in self.values]}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KernelSpec):
@@ -81,7 +87,7 @@ class KernelSpec:
         return (self.d, self.N, self.values) == (other.d, other.N, other.values)
 
     def __hash__(self) -> int:
-        return hash((self.d, self.N, self.values))
+        return self._hash
 
     def __repr__(self) -> str:
         return "KernelSpec(d={}, N={})".format(self.d, self.N)
@@ -92,7 +98,7 @@ def sample_kernel(d: int = 1, N: int = 4) -> KernelSpec:
     values = []
     for offset in product(range(N), repeat=d):
         dist2 = sum(min(x, N - x) ** 2 for x in offset)
-        values.append(1.0 / (1.0 + dist2))
+        values.append(Fraction(1, 1 + dist2))
     return KernelSpec(d, N, values)
 
 
@@ -111,73 +117,140 @@ def value_F_symbolic(g: Diagram | CanonDiagram) -> SymbolicValue:
     return SymbolicValue.symbol(_pi_name(g))
 
 
-def value_F_numeric(g: Diagram | CanonDiagram | DiagForest, kernel: KernelSpec) -> float:
+def value_F_numeric(g: Diagram | CanonDiagram | DiagForest, kernel: KernelSpec) -> Scalar:
     """Normalized lattice sum: average the kernel product over vertex placements.
 
     Forests multiply their parts; a diagram is summed once per class and
-    kernel (see `_lattice_sum`).
+    kernel (see `_lattice_sum`).  The value is exact.
     """
     if isinstance(g, DiagForest):
-        acc = 1.0
+        acc = 1
         for part in g.parts():
             acc *= value_F_numeric(part, kernel)
-        return acc
+        return as_scalar(acc)
     if isinstance(g, Diagram):
         g = fy.canonicalize(g)
-    return _lattice_sum(g, kernel)
+    return as_scalar(_lattice_sum(g, kernel))
+
+
+def _elimination_order(n: int, pairs: Iterable[Edge], sites: int) -> tuple[list[tuple[int, list[int]]], int]:
+    """Min-degree elimination of vertices 1..n-1, and its work estimate.
+
+    Vertex 0 is fixed, so only edges between two other vertices link
+    them.  Each step removes a vertex of fewest remaining neighbours
+    (ties to the lowest label), joins those neighbours pairwise, and
+    costs sites^(neighbours + 1) products.  Returns the (vertex, sorted
+    neighbours) steps and the summed cost.
+    """
+    neighbours: dict[int, set[int]] = {v: set() for v in range(1, n)}
+    for u, v in pairs:
+        if u:
+            neighbours[u].add(v)
+            neighbours[v].add(u)
+    steps = []
+    work = 0
+    while neighbours:
+        v = min(neighbours, key=lambda w: (len(neighbours[w]), w))
+        scope = neighbours.pop(v)
+        for u in scope:
+            neighbours[u].discard(v)
+            neighbours[u] |= scope - {u}
+        steps.append((v, sorted(scope)))
+        work += sites ** (len(scope) + 1)
+    return steps, work
+
+
+def _site_table(kernel: KernelSpec, sites: list) -> tuple[int, list[int]]:
+    """L = lcm of the kernel's denominators, and L times the kernel between
+    every two sites, flat and row-major: all ints."""
+    scale = lcm(*(v.denominator for v in kernel.values))
+    return scale, [(kernel.at(x, y) * scale).numerator for x in sites for y in sites]
+
+
+def _broadcast(scope: tuple[int, ...], table: list[int], full: list[int], sites: int) -> list[int]:
+    """A factor's table re-indexed row-major over the vertices of full."""
+    if list(scope) == full:
+        return table
+    stride = {u: sites ** (len(scope) - 1 - i) for i, u in enumerate(scope)}
+    index = [0]
+    for u in full:
+        step = stride.get(u, 0)
+        index = [i + s * step for i in index for s in range(sites)]
+    return [table[i] for i in index]
 
 
 @cache
-def _lattice_sum(canon: CanonDiagram, kernel: KernelSpec) -> float:
-    """The lattice sum of one class's representative.
+def _lattice_sum(canon: CanonDiagram, kernel: KernelSpec) -> Fraction:
+    """The lattice sum of one class's representative, by vertex elimination.
 
-    Kernel values are read from a site-by-site table built once per call;
-    placements run in lexicographic order and each product multiplies the
-    edges in order, so the float is bit-identical to summing
-    ``kernel.at`` over the placements of site tuples (tests check this).
+    The sum of the kernel product over all S^n placements of the n
+    vertices on the S sites is a sum-product over a graph, so vertices
+    are summed out one at a time (bucket elimination; Dechter, Artif.
+    Intell. 113, 1999), all in integers:
+
+    - the site table is scaled by L, the lcm of the kernel's
+      denominators, so every entry is an int;
+    - parallel edges merge into one elementwise power of the table;
+    - the kernel depends only on the offset, so vertex 0 is fixed at
+      site 0 and the sum multiplied by S (translation on the torus);
+    - the other vertices go in min-degree order (`_elimination_order`);
+      eliminating one multiplies the tables that contain it, broadcast
+      to the union of their vertices, and sums its axis out.
+
+    The result is total * S / (L^E * S^n) for E edges.  It is exact, so
+    the elimination order cannot change it; tests check it against the
+    longhand placement loop.  The size guard reads the elimination's own
+    work estimate before any table is built.
     """
     diagram = canon.diagram
     n = diagram.vertex_count
     sites = list(product(range(kernel.N), repeat=kernel.d))
-    if len(sites) ** n > _LATTICE_LIMIT:
+    size = len(sites)
+    multiplicity = Counter(diagram.edges)
+    steps, work = _elimination_order(n, multiplicity, size)
+    if work > _LATTICE_LIMIT:
         raise ValueError("lattice sum exceeds the size limit")
-    table = [[kernel.at(x, y) for y in sites] for x in sites]
-    edges = diagram.edges
-    total = 0.0
-    for placement in product(range(len(sites)), repeat=n):
-        w = 1.0
-        for u, v in edges:
-            w *= table[placement[u]][placement[v]]
-        total += w
-    return total / len(sites) ** n
+    scale, table = _site_table(kernel, sites)
+    factors = []
+    for (u, v), count in multiplicity.items():
+        powered = [t**count for t in table]
+        factors.append(((v,), powered[:size]) if u == 0 else ((u, v), powered))
+    total = 1
+    for v, scope in steps:
+        touching = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        full = scope + [v]
+        joint = _broadcast(*touching[0], full, size)
+        for f in touching[1:]:
+            joint = list(map(mul, joint, _broadcast(*f, full, size)))
+        summed = [sum(joint[i : i + size]) for i in range(0, len(joint), size)]
+        if scope:
+            factors.append((tuple(scope), summed))
+        else:
+            total *= summed[0]
+    return Fraction(total * size, scale ** len(diagram.edges) * size**n)
 
 
 def value_M(m: MultiIndex, kernel: KernelSpec | None = None):
     """Monomial value through the lift: sum of N(Gamma) times the diagram value.
 
-    Symbolic (polynomial in the diagram generators) without a kernel, a
-    float with one.
+    Symbolic (polynomial in the diagram generators) without a kernel, an
+    exact rational with one.
     """
     lifted = lift_P(m)
     if kernel is None:
         return SymbolicValue(((((_pi_name(canon), 1),), coef) for canon, coef in lifted.items()))
-    return sum(
-        (float(coef) * value_F_numeric(canon, kernel) for canon, coef in lifted.items()),
-        start=0.0,
-    )
+    return as_scalar(sum(coef * value_F_numeric(canon, kernel) for canon, coef in lifted.items()))
 
 
-def moment_oracle(m: MultiIndex, kernel: KernelSpec) -> float:
+def moment_oracle(m: MultiIndex, kernel: KernelSpec) -> Scalar:
     """Expectation of the monomial by direct pairing census.
 
     Sums, over all loopless pairings of the half-edges (connected or
     not), the product of component diagram values.
     """
     outcome = enumerate_pairings(m, connected_only=False)
-    total = 0.0
-    for forest, count in outcome.items():
-        total += count * value_F_numeric(forest, kernel)
-    return total
+    return as_scalar(sum(count * value_F_numeric(forest, kernel) for forest, count in outcome.items()))
 
 
 def _set_partitions(items: tuple) -> list[list[tuple]]:
@@ -193,36 +266,34 @@ def _set_partitions(items: tuple) -> list[list[tuple]]:
     return out
 
 
-def value_M_recursive(m: MultiIndex, kernel: KernelSpec) -> float:
+@cache
+def _connected_value(m: MultiIndex, kernel: KernelSpec) -> Scalar:
+    """The moment of m minus every properly split contribution."""
+    arities = m.arity_list()
+    total = moment_oracle(m, kernel)
+    for partition in _set_partitions(tuple(range(len(arities)))):
+        if len(partition) < 2:
+            continue
+        w = 1
+        for block in partition:
+            w *= _connected_value(MultiIndex(Counter(arities[i] for i in block)), kernel)
+            if not w:
+                break
+        total -= w
+    return as_scalar(total)
+
+
+def value_M_recursive(m: MultiIndex, kernel: KernelSpec) -> Scalar:
     """Connected value by the moment recursion, independent of the lift.
 
     The moment of a monomial splits over set partitions of its vertices
     into products of connected values, so the connected value is the
-    moment minus every properly split contribution.  Connected values of
-    the sub-monomials are memoized for the one call.
+    moment minus every properly split contribution.  Connected values are
+    memoized per (monomial, kernel) by `_connected_value`.
     """
     if 0 in m.arity_list():
         raise ValueError("arity-0 vertices have no connected value")
-
-    @cache
-    def connected(m: MultiIndex) -> float:
-        arities = m.arity_list()
-        total = moment_oracle(m, kernel)
-        for partition in _set_partitions(tuple(range(len(arities)))):
-            if len(partition) < 2:
-                continue
-            w = 1.0
-            for block in partition:
-                merged: dict[int, int] = {}
-                for i in block:
-                    merged[arities[i]] = merged.get(arities[i], 0) + 1
-                w *= connected(MultiIndex(merged))
-                if w == 0.0:
-                    break
-            total -= w
-        return total
-
-    return connected(m)
+    return _connected_value(m, kernel)
 
 
 def cumulant_series(

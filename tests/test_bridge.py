@@ -107,6 +107,13 @@ def test_census_with_free_legs():
     assert enumerate_pairings(_m("z3^2"), connected_only=True, free_legs=1).total() == 0
 
 
+def test_census_copies_are_independent_of_the_memo():
+    out = enumerate_pairings(_m("z3^2"), connected_only=True)
+    out[III] += 5
+    out["junk"] = 1
+    assert enumerate_pairings(_m("z3^2"), connected_only=True) == {III: 6}
+
+
 def _census_by_matching(m: MultiIndex, connected_only: bool, free_legs: int) -> dict:
     """The pairing census one labeled matching at a time (the oracle).
 

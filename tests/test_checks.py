@@ -89,6 +89,20 @@ def test_valuations_agree_fails_on_a_perturbed_recursion(monkeypatch):
     assert not checks.valuations_agree(Z32, kernel)
 
 
+def test_valuations_agree_fails_on_a_recursion_off_by_one_part_in_a_trillion(monkeypatch):
+    # A relative error of 1e-12 passed the old 1e-9 float tolerance; the
+    # exact values must still tell it apart.
+    kernel = valuation.sample_kernel()
+    direct = valuation.value_M(Z32, kernel)
+    assert checks.valuations_agree(Z32, kernel)
+    recursive = valuation.value_M_recursive
+    factor = Fraction(10**12 + 1, 10**12)
+    monkeypatch.setattr(valuation, "value_M_recursive", lambda *args: recursive(*args) * factor)
+    perturbed = valuation.value_M_recursive(Z32, kernel)
+    assert abs(direct - perturbed) <= Fraction(1, 10**9) * abs(direct)
+    assert not checks.valuations_agree(Z32, kernel)
+
+
 def test_transport_composition_fails_without_the_convolution_cross_terms(monkeypatch):
     # At ell = -3/2 the reduced coproduct of z2 z3^2 has a divergent trunk,
     # so the convolution's cross terms g(forest) * f(trunk) show.

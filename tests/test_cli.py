@@ -268,6 +268,8 @@ def test_outputs_survive_clearing_every_cache(capsys):
         "_antipode_F",
         "_lattice_sum",
         "_D_power",
+        "_census",
+        "_connected_value",
     }
     for fn in maps:
         fn.cache_clear()

@@ -32,7 +32,7 @@ Core claims (hand-checked oracles):
     - with formal trunks (the default of `coproduct_full`) even the
       projected identity fails: z5^2 at ell=-1, d=3 under rule {2,4}
 
-Known failures, pinned as strict xfails (ROADMAP open item 3): under rule
+Known failures, pinned as strict xfails (ROADMAP open item 2): under rule
 {2,4} at ell=-3/2, d=3 the projected identity fails on z3^4, z2 z3^2 z4
 and z4^5, and at ell=-3/2 and -2 the group inverse fails on z3^4,
 z2 z3^2 z4 and z2^2 z3 z5; the same monomials pass with no rule, and
@@ -87,7 +87,7 @@ from bphz.valuation import pi_character_F, pi_character_M, value_M
 P = DegreeParams(Fraction(-1), 3)
 P32 = DegreeParams(Fraction(-3, 2), 3)
 RULE = Rule.parse("2,4")
-ITEM_3 = "ROADMAP open item 3: the rule-projected coproduct is not coassociative off ell=-1"
+ITEM_2 = "ROADMAP open item 2: the rule-projected coproduct is not coassociative off ell=-1"
 
 III = Diagram.parse("n=2; e=1-2,1-2,1-2")
 YII = Diagram.parse("n=2; e=1-2,1-2")
@@ -341,7 +341,7 @@ def test_character_inverse_is_two_sided_on_the_negative_part(ell, rule, size):
     assert _inverse_failures(negative, p, rule) == []
 
 
-@pytest.mark.xfail(strict=True, reason=ITEM_3)
+@pytest.mark.xfail(strict=True, reason=ITEM_2)
 @pytest.mark.parametrize("ell", [Fraction(-3, 2), Fraction(-2)], ids=["-3/2", "-2"])
 @pytest.mark.parametrize("text", ["z3^4", "z2 z3^2 z4", "z2^2 z3 z5"])
 def test_ruled_character_inverse_is_two_sided_off_ell_minus_one(ell, text):
@@ -496,7 +496,7 @@ def test_formal_trunks_are_not_coassociative():
     assert _monomial_coassociative(m, P, RULE, projected=True)
 
 
-@pytest.mark.xfail(strict=True, reason=ITEM_3)
+@pytest.mark.xfail(strict=True, reason=ITEM_2)
 @pytest.mark.parametrize("text", ["z3^4", "z2 z3^2 z4", "z4^5"])
 def test_ruled_coproduct_is_coassociative_at_ell_minus_three_halves(text):
     assert _monomial_coassociative(_m(text), P32, RULE, projected=True)

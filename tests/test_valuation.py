@@ -3,7 +3,9 @@
 Core claims (hand-checked oracles):
     - the periodic kernel wraps indices and enforces evenness
     - diagram values match direct lattice sums written out longhand, and
-      equal the placement loop over kernel.at bit for bit
+      equal the exact placement loop over kernel.at; vertex elimination
+      sums a 12-vertex path to its closed form and refuses a dense
+      diagram by its work estimate before building a table
     - monomial values pass through the lift; the recursive variant
       (moments minus proper partitions) agrees with it
     - the Wick moment equals the brute-force pairing sum
@@ -107,19 +109,19 @@ def test_value_of_triple_edge_longhand():
     assert value_F_numeric(triple, k) == pytest.approx(want, rel=1e-12)
 
 
-def _lattice_sum_by_kernel_at(diagram: Diagram, kernel: KernelSpec) -> float:
-    """The placement loop over site tuples, calling kernel.at per edge (the oracle)."""
+def _lattice_sum_by_kernel_at(diagram: Diagram, kernel: KernelSpec) -> Fraction:
+    """The exact placement loop over site tuples, calling kernel.at per edge (the oracle)."""
     sites = list(product(range(kernel.N), repeat=kernel.d))
-    total = 0.0
+    total = 0
     for placement in product(sites, repeat=diagram.vertex_count):
-        w = 1.0
+        w = 1
         for u, v in diagram.edges:
             w *= kernel.at(placement[u], placement[v])
         total += w
     return total / len(sites) ** diagram.vertex_count
 
 
-def test_value_F_numeric_is_bit_identical_to_the_kernel_at_loop():
+def test_value_F_numeric_equals_the_kernel_at_loop_exactly():
     # __wrapped__ bypasses the cache, so every sum is computed afresh.
     lattice_sum = valuation._lattice_sum.__wrapped__
     cases = 0
@@ -130,6 +132,29 @@ def test_value_F_numeric_is_bit_identical_to_the_kernel_at_loop():
             assert lattice_sum(canon, k) == want, (d, N, canon.key)
             cases += 1
     assert cases == 81
+
+
+def test_lattice_sum_of_a_long_path_is_its_tree_closed_form():
+    # 4^12 placements are far over the size limit, but eliminating a path
+    # costs 11 * 4^2 products; each of its 11 edges averages to sum(K) / S.
+    k = sample_kernel(d=1, N=4)
+    path = canonicalize(Diagram(12, [(i, i + 1) for i in range(11)]))
+    assert len(k.values) ** 12 > valuation._LATTICE_LIMIT
+    assert valuation._lattice_sum.__wrapped__(path, k) == (sum(k.values) / 4) ** 11
+
+
+def test_lattice_sum_refuses_a_dense_diagram_before_building_tables(monkeypatch):
+    # K_6 on 25 sites: fixing one vertex leaves K_5, whose first elimination
+    # alone costs 25^5 > _LATTICE_LIMIT products.
+    k = sample_kernel(d=2, N=5)
+    dense = canonicalize(Diagram(6, [(u, v) for u in range(6) for v in range(u + 1, 6)]))
+
+    def no_tables(*args):
+        raise AssertionError("a factor table was built")
+
+    monkeypatch.setattr(valuation, "_site_table", no_tables)
+    with pytest.raises(ValueError, match="size limit"):
+        valuation._lattice_sum.__wrapped__(dense, k)
 
 
 def test_value_F_symbolic_is_one_symbol_per_class():
