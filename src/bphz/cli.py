@@ -34,14 +34,6 @@ def parse_expression(text: str) -> MultiIndex | MIForest | Diagram:
     return MultiIndex.parse(text)
 
 
-def _params(args) -> DegreeParams:
-    return DegreeParams(as_scalar(args.ell), args.dim)
-
-
-def _rule(args) -> Rule:
-    return Rule.parse(args.rule)
-
-
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--ell", default="-1", help="kernel degree, a rational like -1 or -3/2")
     sp.add_argument("--dim", type=int, default=3, help="ambient dimension d")
@@ -85,17 +77,16 @@ def _output_terms(out: renorm.RenormOutput) -> tuple[list[dict], list[str]]:
 
 def _cmd_coproduct(args) -> int:
     value = parse_expression(args.expr)
-    p = _params(args)
+    p = args.params
     if isinstance(value, Diagram):
         comb = (
             fy.coproduct_full_F(value, p) if args.full else fy.coproduct_reduced_F(value, p)
         )
     elif isinstance(value, MultiIndex):
-        rule = _rule(args)
         comb = (
-            mi.coproduct_full(value, p, rule)
+            mi.coproduct_full(value, p, args.rule)
             if args.full
-            else mi.coproduct_reduced(value, p, rule)
+            else mi.coproduct_reduced(value, p, args.rule)
         )
     else:
         raise ValueError("coproduct expects a monomial or a diagram")
@@ -106,11 +97,11 @@ def _cmd_coproduct(args) -> int:
 
 def _cmd_antipode(args) -> int:
     value = parse_expression(args.expr)
-    p = _params(args)
+    p = args.params
     if isinstance(value, Diagram):
         comb = renorm.antipode_F(value, p)
     elif isinstance(value, MultiIndex):
-        comb = renorm.antipode_M(value, p, _rule(args))
+        comb = renorm.antipode_M(value, p, args.rule)
     else:
         raise ValueError("antipode expects a monomial or a diagram")
     rows, lines = _comb_terms(comb)
@@ -120,11 +111,11 @@ def _cmd_antipode(args) -> int:
 
 def _cmd_bphz(args) -> int:
     value = parse_expression(args.expr)
-    p = _params(args)
+    p = args.params
     if isinstance(value, Diagram):
         out = renorm.bphz_F(value, valuation.pi_character_F(), p)
     elif isinstance(value, MultiIndex):
-        out = renorm.bphz_M(value, valuation.pi_character_M(), p, _rule(args))
+        out = renorm.bphz_M(value, valuation.pi_character_M(), p, args.rule)
     else:
         raise ValueError("bphz expects a monomial or a diagram")
     rows, lines = _output_terms(out)
@@ -135,13 +126,12 @@ def _cmd_bphz(args) -> int:
 def _cmd_insert(args) -> int:
     piece = parse_expression(args.expr)
     host = parse_expression(args.into)
-    rule = _rule(args)
     if isinstance(piece, Diagram) and isinstance(host, Diagram):
-        comb = fy.insert_F(piece, host, rule)
+        comb = fy.insert_F(piece, host, args.rule)
     elif isinstance(piece, MultiIndex) and isinstance(host, MultiIndex):
-        comb = mi.insert(piece, host, rule)
+        comb = mi.insert(piece, host, args.rule)
     elif isinstance(piece, MIForest) and isinstance(host, MultiIndex):
-        comb = mi.simultaneous_insert(piece, host, rule)
+        comb = mi.simultaneous_insert(piece, host, args.rule)
     else:
         raise ValueError("insert expects two monomials, a forest and a monomial, or two diagrams")
     rows, lines = _comb_terms(comb)
@@ -168,7 +158,7 @@ def _cmd_lift(args) -> int:
 
 def _cmd_degree(args) -> int:
     value = parse_expression(args.expr)
-    p = _params(args)
+    p = args.params
     if isinstance(value, Diagram):
         deg = fy.degree(value, p)
     elif isinstance(value, MultiIndex):
@@ -210,8 +200,7 @@ def _cmd_pairings(args) -> int:
 
 
 def _cmd_counterterms(args) -> int:
-    p = _params(args)
-    rule = _rule(args)
+    p, rule = args.params, args.rule
     gamma = valuation.counterterms(
         valuation.phi4_couplings(), p, rule, max_half_edges=args.trunc
     )
@@ -229,8 +218,7 @@ def _cmd_counterterms(args) -> int:
 
 
 def _cmd_phi4(args) -> int:
-    p = _params(args)
-    rule = _rule(args)
+    p, rule = args.params, args.rule
     report = valuation.phi4_report(p, rule, max_n=args.max_n, trunc=args.trunc)
     lines = [
         "params: ell={} d={} rule={}".format(
@@ -269,8 +257,7 @@ def _cmd_phi4(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    p = _params(args)
-    rule = _rule(args)
+    p, rule = args.params, args.rule
     bounds = checks.Bounds(args.max_edges, args.max_he, args.max_verts)
     names = list(checks.SUITES) if args.suite == "all" else [args.suite]
     rows = []
@@ -376,6 +363,10 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        # every command takes the common options; a bad one is a usage
+        # error even where the command does not read it
+        args.params = DegreeParams(as_scalar(args.ell), args.dim)
+        args.rule = Rule.parse(args.rule)
         return args.fn(args)
     except (ValueError, ZeroDivisionError) as exc:
         sys.stderr.write("error: {}\n".format(exc))

@@ -7,20 +7,22 @@ basis forests with polynomial coefficients over formal evaluation
 symbols, so the result stays exact.
 
 Each recursion is memoized by a ``functools.cache`` on the map it
-computes: `antipode_M` and `hat_antipode_M` per (monomial, params,
-rule), `_antipode_F` per (canonical class, params), and every
-`Character` per component.  ``cache_clear()`` empties the module caches.
+computes: `antipode_M` per (monomial, params, rule), `_antipode_F` per
+(canonical class, params), and every `Character` per component (so the
+inverse character, which recurses through itself).  ``cache_clear()``
+empties the module caches.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain
 from typing import Callable, Iterable
 
 from . import feynman as fy
 from . import multiindex as mi
 from .feynman import CanonDiagram, DiagForest, Diagram
-from .lincomb import Forest, LinComb, apply_linear, multiplicative, product
+from .lincomb import Forest, LinComb, apply_linear, multiplicative
 from .multiindex import DegreeParams, MIForest, MultiIndex, Rule
 from .symvalue import SymbolicValue, _coerce
 
@@ -47,12 +49,16 @@ def _antipode(top: Forest, reduced_items: Iterable, component: Callable) -> LinC
     ((forest, trunk), coef) terms of its reduced coproduct, and component
     is the antipode on one part; the recursion extends it to forests.
     """
-    acc = LinComb.single(top, -1)
-    for (forest, trunk), coef in reduced_items:
-        acc = acc - product(
-            _on_forest(component, forest), LinComb.single(trunk, coef), type(top).add
+    return LinComb(
+        chain(
+            ((top, -1),),
+            (
+                (key.add(trunk), -coef * c)
+                for (forest, trunk), coef in reduced_items
+                for key, c in _on_forest(component, forest)._terms.items()
+            ),
         )
-    return acc
+    )
 
 
 @cache
@@ -74,24 +80,6 @@ def antipode_M(m: MultiIndex, p: DegreeParams, rule: Rule) -> LinComb[MIForest]:
 def antipode_M_forest(f: MIForest, p: DegreeParams, rule: Rule) -> LinComb[MIForest]:
     """Multiplicative extension of the antipode to forests."""
     return _on_forest(lambda part: antipode_M(part, p, rule), f)
-
-
-@cache
-def hat_antipode_M(m: MultiIndex, p: DegreeParams, rule: Rule) -> LinComb[MIForest]:
-    """Antipode of the negative-part quotient: trunks projected to it too.
-
-    Defined only on the negative part; the recursion matches antipode_M
-    except that reduced-coproduct trunks must themselves be populatable
-    and divergent.  This is the inversion kernel of the character group.
-    """
-    if not in_negative_part_M(m, p):
-        raise ValueError("hat antipode is defined on the negative part only")
-    reduced = mi.coproduct_reduced(m, p, rule, trunk_in_image=True)
-    return _antipode(
-        MIForest.of(m),
-        (((f, t), c) for (f, t), c in reduced.items() if mi.is_divergent(t, p)),
-        lambda part: hat_antipode_M(part, p, rule),
-    )
 
 
 def antipode_F(g: Diagram, p: DegreeParams) -> LinComb[DiagForest]:
@@ -218,15 +206,34 @@ def bphz_F(g: Diagram, char: Character, p: DegreeParams) -> RenormOutput:
     )
 
 
-def _convolve(f: Character, g: Character, reduced: Callable, divergent: Callable) -> Character:
-    """f(x) + g(x) plus coef * f(forest) * g(trunk) over the reduced
-    coproduct terms of x whose trunk is divergent."""
+def _negative_terms_M(m: MultiIndex, p: DegreeParams, rule: Rule) -> list:
+    """The ((forest, trunk), coef) terms of m's reduced coproduct whose
+    trunk is in the image and divergent: the right leg projected to the
+    negative part, as the character group reads the coproduct."""
+    reduced = mi.coproduct_reduced(m, p, rule, trunk_in_image=True)
+    return [
+        ((forest, trunk), coef)
+        for (forest, trunk), coef in reduced.items()
+        if mi.is_divergent(trunk, p)
+    ]
+
+
+def _negative_terms_F(canon: CanonDiagram, p: DegreeParams) -> list:
+    """The reduced-coproduct terms of a class whose trunk is divergent."""
+    reduced = fy.coproduct_reduced_F(canon.diagram, p)
+    return [
+        ((forest, trunk), coef)
+        for (forest, trunk), coef in reduced.items()
+        if fy.is_divergent(trunk.diagram, p)
+    ]
+
+
+def _convolve(f: Character, g: Character, terms: Callable) -> Character:
+    """f(x) + g(x) plus coef * f(forest) * g(trunk) over terms(x)."""
 
     def component_fn(x) -> SymbolicValue:
         acc = f(x) + g(x)
-        for (forest, trunk), coef in reduced(x).items():
-            if not divergent(trunk):
-                continue
+        for (forest, trunk), coef in terms(x):
             acc = acc + f(forest) * g(trunk) * coef
         return acc
 
@@ -241,33 +248,32 @@ def convolve(f: Character, g: Character, p: DegreeParams, rule: Rule) -> Charact
     the negative part: f(m) + g(m) plus the sum over reduced extractions
     with divergent populatable trunks of f(forest) * g(trunk).
     """
-    return _convolve(
-        f,
-        g,
-        lambda m: mi.coproduct_reduced(m, p, rule, trunk_in_image=True),
-        lambda trunk: mi.is_divergent(trunk, p),
-    )
+    return _convolve(f, g, lambda m: _negative_terms_M(m, p, rule))
 
 
 def convolve_F(f: Character, g: Character, p: DegreeParams) -> Character:
     """Diagram-side convolution with the same negative-part projection."""
-    return _convolve(
-        f,
-        g,
-        lambda canon: fy.coproduct_reduced_F(canon.diagram, p),
-        lambda trunk: fy.is_divergent(trunk.diagram, p),
-    )
+    return _convolve(f, g, lambda canon: _negative_terms_F(canon, p))
 
 
 def character_inverse(f: Character, p: DegreeParams, rule: Rule) -> Character:
-    """Group inverse: compose with the hat antipode."""
+    """Group inverse: the g with g * f = counit on the negative part.
+
+    Solving convolve(g, f) = 0 for g(m) gives the recursion
+    g(m) = -f(m) - sum of coef * g(forest) * f(trunk) over the terms the
+    convolution sums; g is zero off the negative part.
+    """
 
     def component_fn(m: MultiIndex) -> SymbolicValue:
         if not in_negative_part_M(m, p):
             return SymbolicValue.zero()
-        return f.on_lincomb(hat_antipode_M(m, p, rule))
+        acc = -f(m)
+        for (forest, trunk), coef in _negative_terms_M(m, p, rule):
+            acc = acc - inv(forest) * f(trunk) * coef
+        return acc
 
-    return Character(component_fn, name="inv({})".format(f.name or "f"))
+    inv = Character(component_fn, name="inv({})".format(f.name or "f"))
+    return inv
 
 
 def renorm_map(

@@ -97,15 +97,11 @@ class SymbolicValue(LinComb):
             total = total + term
         return total
 
-    def evaluate(self, values: Mapping[str, float]) -> float:
-        """Numeric evaluation; every generator present must get a value."""
-        total = 0.0
-        for mono, coef in self.terms():
-            term = float(coef)
-            for name, exp in mono:
-                term *= values[name] ** exp
-            total += term
-        return total
+    def evaluate(self, values: Mapping[str, RationalLike]) -> Scalar:
+        """Exact value: every generator present must get a value (a
+        KeyError names one that has none, and a float is refused)."""
+        needed = {name: values[name] for mono in self._terms for name, _ in mono}
+        return self.substitute(needed).constant_term()
 
     def __str__(self) -> str:
         if not self._terms:

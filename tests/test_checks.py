@@ -4,13 +4,14 @@ The acceptance gate and ``bphz verify`` both read their verdicts from
 ``bphz.checks``, so each predicate there must be able to fail.  Every test
 first sees the predicate pass, then plants one fault with monkeypatch and
 sees it fail.  A fault in a memoized antipode is planted by wrapping the
-cached function; the antipodes built from it land in the renorm caches,
-which are cleared at teardown so they do not outlive the test.
+cached function; the antipodes built from it land in the caches, and
+every bphz cache is cleared at teardown so they do not outlive the test.
 """
 
 from fractions import Fraction
 
 import pytest
+from conftest import memoized_maps
 
 from bphz import checks, cli, feynman as fy, multiindex as mi, renorm, valuation
 from bphz.feynman import Diagram
@@ -27,9 +28,8 @@ def planted(monkeypatch):
     """Plant a doubled value for one argument tuple of a cached renorm map.
 
     Yields plant(name, args); at teardown the patch is undone and every
-    renorm cache is cleared of the values built from the fault.
+    bphz cache is cleared of the values built from the fault.
     """
-    caches = (renorm.antipode_M, renorm.hat_antipode_M, renorm._antipode_F)
 
     def plant(name: str, key: tuple) -> None:
         original = getattr(renorm, name)
@@ -42,7 +42,7 @@ def planted(monkeypatch):
 
     yield plant
     monkeypatch.undo()
-    for fn in caches:
+    for fn in memoized_maps():
         fn.cache_clear()
 
 

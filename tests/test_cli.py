@@ -9,9 +9,9 @@ these tests pin how the CLI serializes it.
 
 import hashlib
 import json
-import sys
 
 import pytest
+from conftest import memoized_maps
 
 from bphz import cli, feynman
 
@@ -247,24 +247,12 @@ def test_verify_all_output_is_pinned(capsys, flag, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def _memoized_maps() -> set:
-    """Every functools cache bound at the top level of a bphz module."""
-    return {
-        value
-        for name, module in sys.modules.items()
-        if name == "bphz" or name.startswith("bphz.")
-        for value in vars(module).values()
-        if hasattr(value, "cache_clear")
-    }
-
-
 def test_outputs_survive_clearing_every_cache(capsys):
     argvs = (("verify", "--suite", "hopf"), ("phi4", "--json"))
     first = [run(capsys, *argv) for argv in argvs]
-    maps = _memoized_maps()
+    maps = memoized_maps()
     assert {fn.__name__ for fn in maps} >= {
         "antipode_M",
-        "hat_antipode_M",
         "_antipode_F",
         "_lattice_sum",
         "_D_power",
@@ -385,4 +373,23 @@ def test_each_command_refuses_the_wrong_type(capsys, command, expr, message):
 def test_bad_rule_exits_two(capsys):
     rc, _, err = run(capsys, "antipode", "--expr", "z4^2", "--rule", "2,x")
     assert rc == 2
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lift", "--expr", "z4", "--rule", "x"),
+        ("pairings", "--expr", "z4", "--ell=5"),
+        ("degree", "--expr", "n=2; e=1-2", "--rule", ","),
+        ("coproduct", "--expr", "n=2; e=1-2", "--rule", "0"),
+    ],
+    ids=["lift-rule", "pairings-ell", "degree-rule", "coproduct-diagram-rule"],
+)
+def test_bad_common_option_exits_two_where_unread(capsys, argv):
+    """Every command checks --ell, --dim and --rule, including those that
+    do not use them for the given input."""
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
     assert err.startswith("error: ")

@@ -222,7 +222,6 @@ def test_public_api_is_pinned():
         "cumulant_series",
         "degree",
         "enumerate_pairings",
-        "hat_antipode_M",
         "hat_sym_factor",
         "in_negative_part_F",
         "in_negative_part_M",

@@ -9,13 +9,15 @@ Core claims (hand-checked oracles):
     - diagram antipode: primitive divergent diagrams negate; the bridged
       diagram gets the two-term expression; guarded by negative-part
       membership it vanishes off the negative part
-    - hat antipode agrees with the recursive one where defined and
-      rejects inputs outside the negative part
+    - the inverse character is f composed with the antipode of the
+      negative-part quotient (trunks divergent too), written out longhand
+      here: on every monomial with at most 12 half-edges and 5 vertices,
+      d = 3, ell in {-1, -3/2, -2}, under rule {2,4} and with no rule
     - twisted subtraction goldens on z4^2 and the bridged diagram
     - subtraction equals the transport map of the inverse character
     - convolution is the identity against the counit; on diagrams it
       drops extractions whose trunk is convergent
-    - the hat antipode inverts a character of free symbols on both sides,
+    - the inverse character inverts one of free symbols on both sides,
       f * inv(f) = inv(f) * f = counit, on every negative-part monomial
       with at most 12 half-edges and 5 vertices at d=3: under rule {2,4}
       at ell=-1, and with no rule at ell=-1, -3/2 and -2
@@ -40,6 +42,7 @@ under the rule at ell=-1.
 """
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -58,6 +61,7 @@ from bphz.multiindex import (
     Rule,
     coproduct_full,
     coproduct_full_forest,
+    coproduct_reduced,
     is_divergent,
     iter_monomials_within,
 )
@@ -74,7 +78,6 @@ from bphz.renorm import (
     convolve,
     convolve_F,
     counit_M,
-    hat_antipode_M,
     in_negative_part_F,
     in_negative_part_M,
     renorm_map,
@@ -172,15 +175,6 @@ def test_antipode_F_strict_vanishes_off_negative_part():
 def test_antipode_F_forest_is_multiplicative():
     f = DiagForest.of(canonicalize(III), canonicalize(III))
     assert antipode_F_forest(f, P) == LinComb.single(f, 1)
-
-
-def test_hat_antipode_matches_on_primitives_and_guards_domain():
-    m = _m("z3^2")
-    assert hat_antipode_M(m, P, RULE) == antipode_M(m, P, RULE)
-    with pytest.raises(ValueError):
-        hat_antipode_M(_m("z4^4"), P, RULE)
-    with pytest.raises(ValueError):
-        hat_antipode_M(_m("z2"), P, RULE)
 
 
 # -- characters ------------------------------------------------------------------
@@ -322,6 +316,47 @@ def _inverse_failures(monomials, p: DegreeParams, rule) -> list[str]:
     inv = character_inverse(f, p, rule)
     left, right = convolve(f, inv, p, rule), convolve(inv, f, p, rule)
     return [str(m) for m in monomials if not (left(m).is_zero() and right(m).is_zero())]
+
+
+def _quotient_antipode(p: DegreeParams, rule):
+    """The antipode of the negative-part quotient, longhand: A(m) = -m minus
+    coef * A(forest) * trunk over the reduced-coproduct terms whose trunk is
+    populatable and divergent, A taken multiplicatively on the forest."""
+
+    @cache
+    def hat(m: MultiIndex) -> LinComb:
+        acc = LinComb.single(MIForest.of(m), -1)
+        for (forest, trunk), coef in coproduct_reduced(m, p, rule, trunk_in_image=True).items():
+            if not is_divergent(trunk, p):
+                continue
+            on_forest = LinComb.single(MIForest.empty())
+            for part in forest.parts():
+                on_forest = product(on_forest, hat(part), MIForest.merge)
+            acc = acc - product(on_forest, LinComb.single(MIForest.of(trunk), coef), MIForest.merge)
+        return acc
+
+    return hat
+
+
+@pytest.mark.parametrize("rule", [RULE, None], ids=["rule", "none"])
+@pytest.mark.parametrize(
+    "ell,size",
+    [(Fraction(-1), 10), (Fraction(-3, 2), 29), (Fraction(-2), 49)],
+    ids=["-1", "-3/2", "-2"],
+)
+def test_character_inverse_is_f_of_the_quotient_antipode(ell, size, rule):
+    p = DegreeParams(ell, 3)
+    f = Character(lambda m: SymbolicValue.symbol("f[{}]".format(m)), name="f")
+    inv = character_inverse(f, p, rule)
+    hat = _quotient_antipode(p, rule)
+    negative = 0
+    for m in iter_monomials_within(12, 5):
+        if in_negative_part_M(m, p):
+            negative += 1
+            assert inv(m) == f.on_lincomb(hat(m)), m
+        else:
+            assert inv(m).is_zero(), m
+    assert negative == size
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,9 @@ Core claims:
     - ring operations (+, -, *, integer powers) are exact and satisfy the
       commutative-ring laws; a rational factor scales the coefficients
       exactly as the constant polynomial does
-    - substitution and evaluation agree with direct arithmetic
+    - substitution and evaluation agree with direct arithmetic; evaluation
+      is exact (an int or a Fraction), refuses a float value, and raises
+      KeyError for a generator with no value
     - string form and terms() are canonical: sorted by monomial tuple,
       independent of construction order
     - an integral coefficient is the same value whether it is stored as an
@@ -63,6 +65,15 @@ def test_substitute_and_evaluate():
     # substituting a -> b gives b^2 + 3b
     swapped = p.substitute({"a": b})
     assert swapped.evaluate({"b": Fraction(2)}) == 10
+    # exact off the integers, and never a float
+    third = a * SymbolicValue.constant(Fraction(1, 3))
+    value = third.evaluate({"a": 1})
+    assert value == Fraction(1, 3) and type(value) is Fraction
+    assert type(p.evaluate({"a": 2, "b": -1})) is int
+    with pytest.raises(KeyError):
+        p.evaluate({"a": 2})
+    with pytest.raises(TypeError):
+        third.evaluate({"a": 1.0})
 
 
 def test_str_is_canonical():
