@@ -151,7 +151,8 @@ def enumerate_pairings(
     return Counter(_census(arities, connected_only, free_legs))
 
 
-def _connected_classes(arities: tuple[int, ...]) -> list[CanonDiagram]:
+@cache
+def _connected_classes(arities: tuple[int, ...]) -> tuple[CanonDiagram, ...]:
     """The classes of connected loopless multigraphs with these vertex degrees.
 
     Orderly generation over partial graphs (Read 1978; McKay, Isomorph-free
@@ -168,7 +169,8 @@ def _connected_classes(arities: tuple[int, ...]) -> list[CanonDiagram]:
     (twice the largest count exceeds the sum).  One step can close several
     vertices, so a graph may finish at different depths: states are
     deduplicated in one set across all depths, and each finished state is
-    one class.
+    one class.  Memoized per arity tuple; the classes come as a tuple, so
+    the cached value cannot be mutated.
     """
     n = len(arities)
     start, _, residual = _canonical_search(n, (), arities)
@@ -200,7 +202,7 @@ def _connected_classes(arities: tuple[int, ...]) -> list[CanonDiagram]:
                 stack.append(state)
             else:
                 classes.append(canonicalize(Diagram._unchecked(n, canon_edges)))
-    return classes
+    return tuple(classes)
 
 
 def lift_P(m: MultiIndex) -> LinComb[CanonDiagram]:
@@ -212,7 +214,8 @@ def lift_P(m: MultiIndex) -> LinComb[CanonDiagram]:
     of order S_M(m), and the stabilizer of one of them has order
     |Aut Gamma|, so N(Gamma) = S_M(m) / |Aut Gamma|.
     The lift therefore only needs the classes, which `_connected_classes`
-    generates; the connected census of `enumerate_pairings` is the tests'
+    generates once per arity tuple; each call builds a fresh combination
+    from them.  The connected census of `enumerate_pairings` is the tests'
     oracle for it.  Arity-0 vertices can never join a connected diagram,
     so any monomial containing them lifts to zero.
     """

@@ -135,20 +135,15 @@ def adjointness_terms(p: DegreeParams, max_edges: int) -> Iterator[tuple[str, li
     the star-product terms of at most max_edges edges.
     """
     diagrams = list(fy.iter_connected_diagrams(max_edges))
-    star_cache: dict = {}
-
-    def star_of(forest: DiagForest, trunk: CanonDiagram) -> LinComb:
-        key = (forest, trunk)
-        if key not in star_cache:
-            star_cache[key] = fy.simultaneous_insert_F(forest, trunk.diagram, None)
-        return star_cache[key]
 
     for gamma in diagrams:
         comb = fy.coproduct_reduced_F(gamma.diagram, p)
         yield (
             "adjointness from coproduct {}".format(gamma.key),
             [
-                adjoint_inner_check(comb, forest, trunk, gamma, star_of(forest, trunk))
+                adjoint_inner_check(
+                    comb, forest, trunk, gamma, fy.simultaneous_insert_F(forest, trunk.diagram, None)
+                )
                 for (forest, trunk), _ in comb.items()
             ],
         )
@@ -163,7 +158,7 @@ def adjointness_terms(p: DegreeParams, max_edges: int) -> Iterator[tuple[str, li
     ]
     for forest in forests:
         for host in small:
-            star = star_of(forest, host)
+            star = fy.simultaneous_insert_F(forest, host.diagram, None)
             yield (
                 "adjointness from star [{}] into {}".format(forest, host.key),
                 [

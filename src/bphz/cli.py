@@ -34,6 +34,17 @@ def parse_expression(text: str) -> MultiIndex | MIForest | Diagram:
     return MultiIndex.parse(text)
 
 
+def _count(text: str) -> int:
+    """argparse type of the count and bound options: a non-negative int."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError("expected a non-negative integer, got {!r}".format(text))
+    return value
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--ell", default="-1", help="kernel degree, a rational like -1 or -3/2")
     sp.add_argument("--dim", type=int, default=3, help="ambient dimension d")
@@ -322,7 +333,7 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("pairings", help="labeled pairing census of a monomial")
     sp.add_argument("--expr", required=True)
-    sp.add_argument("--free", type=int, default=0, help="number of free legs")
+    sp.add_argument("--free", type=_count, default=0, help="number of free legs")
     sp.add_argument("--all", action="store_true", help="include disconnected pairings")
     _add_common(sp)
     sp.set_defaults(fn=_cmd_pairings)
@@ -331,19 +342,19 @@ def main(argv=None) -> int:
     sp.add_argument("--suite", required=True, choices=sorted(checks.SUITES) + ["all"])
     sp.add_argument(
         "--max-edges",
-        type=int,
+        type=_count,
         default=checks.Bounds.max_edges,
         help="edge bound of orbit-stabilizer and adjointness",
     )
     sp.add_argument(
         "--max-he",
-        type=int,
+        type=_count,
         default=checks.Bounds.max_he,
         help="half-edge bound of square; valuation's half-edge and vertex bound",
     )
     sp.add_argument(
         "--max-verts",
-        type=int,
+        type=_count,
         default=checks.Bounds.max_verts,
         help="vertex bound of square (morphism and hopf use fixed ranges)",
     )
@@ -351,13 +362,13 @@ def main(argv=None) -> int:
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("counterterms", help="renormalised-measure counterterm table")
-    sp.add_argument("--trunc", type=int, default=12, help="half-edge truncation")
+    sp.add_argument("--trunc", type=_count, default=12, help="half-edge truncation")
     _add_common(sp)
     sp.set_defaults(fn=_cmd_counterterms)
 
     sp = sub.add_parser("phi4", help="the quartic running example end to end")
-    sp.add_argument("--max-n", type=int, default=6)
-    sp.add_argument("--trunc", type=int, default=12, help="half-edge truncation")
+    sp.add_argument("--max-n", type=_count, default=6)
+    sp.add_argument("--trunc", type=_count, default=12, help="half-edge truncation")
     _add_common(sp)
     sp.set_defaults(fn=_cmd_phi4)
 

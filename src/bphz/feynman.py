@@ -16,13 +16,17 @@ II, 2014), which counts the automorphisms exactly along the way.
 `canonicalize` keeps the one table of classes, `_canon_cache`: every
 diagram seen so far and every class representative map to the class's
 single `CanonDiagram`, so a representative is never searched again.
-``CanonDiagram(g)`` returns that same object.
+``CanonDiagram(g)`` returns that same object.  The maps that depend only
+on a class are ``functools`` caches keyed by it: `_coproduct_reduced_F`
+per (class, params) and `_simultaneous_insert_F` per (forest, host
+class, rule), so a relabeled diagram reads the value of its class.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 from math import ceil, factorial, prod
 from typing import Iterable, Iterator, Sequence, Tuple
@@ -600,11 +604,23 @@ def divergent_extractions(
 def coproduct_reduced_F(
     g: Diagram, p: DegreeParams
 ) -> LinComb[Tuple[DiagForest, CanonDiagram]]:
-    """Reduced diagram coproduct: extraction pairs with iso multiplicities."""
-    acc: list[tuple[Tuple[DiagForest, CanonDiagram], Scalar]] = []
-    for forest, trunk in divergent_extractions(g, p):
-        acc.append(((forest, canonicalize(trunk)), 1))
-    return LinComb(acc)
+    """Reduced diagram coproduct: extraction pairs with iso multiplicities.
+
+    The value depends only on g's class, so it is read from the class memo
+    `_coproduct_reduced_F`.
+    """
+    return _coproduct_reduced_F(canonicalize(g), p)
+
+
+@cache
+def _coproduct_reduced_F(
+    canon: CanonDiagram, p: DegreeParams
+) -> LinComb[Tuple[DiagForest, CanonDiagram]]:
+    """The reduced coproduct of one class, computed on its representative."""
+    return LinComb(
+        ((forest, canonicalize(trunk)), 1)
+        for forest, trunk in divergent_extractions(canon.diagram, p)
+    )
 
 
 def coproduct_full_F(
@@ -620,7 +636,7 @@ def coproduct_full_F(
         ((DiagForest.empty(), DiagForest.of(me)), 1),
         ((DiagForest.of(me), DiagForest.empty()), 1),
     ]
-    for (forest, trunk), coef in coproduct_reduced_F(g, p).items():
+    for (forest, trunk), coef in _coproduct_reduced_F(me, p).items():
         acc.append(((forest, DiagForest.of(trunk)), coef))
     return LinComb(acc)
 
@@ -648,10 +664,21 @@ def simultaneous_insert_F(
     Sums over ordered injective assignments of components to vertices and
     over all reattachment choices of the cut edges: an edge end at a
     survivor stays, and an end at a cut vertex moves to any vertex of the
-    component inserted there, independently for every end.
+    component inserted there, independently for every end.  The sum runs
+    over every cut site and reattachment, so it depends only on g's class
+    and is read from the memo `_simultaneous_insert_F`.
     """
     if f.is_empty():
         raise ValueError("simultaneous insertion needs a nonempty forest")
+    return _simultaneous_insert_F(f, canonicalize(g), rule)
+
+
+@cache
+def _simultaneous_insert_F(
+    f: DiagForest, canon: CanonDiagram, rule: Rule | None
+) -> LinComb[CanonDiagram]:
+    """The insertion of f into one host class, computed on its representative."""
+    g = canon.diagram
     bodies = [part.diagram for part in f.parts()]
     acc: list[tuple[CanonDiagram, Scalar]] = []
     for cut_sites in permutations(range(g.vertex_count), len(bodies)):

@@ -98,7 +98,7 @@ def _antipode_F(canon: CanonDiagram, p: DegreeParams) -> LinComb[DiagForest]:
     """The antipode of one isomorphism class, computed on its representative."""
     return _antipode(
         DiagForest.of(canon),
-        fy.coproduct_reduced_F(canon.diagram, p).items(),
+        fy._coproduct_reduced_F(canon, p).items(),
         lambda part: _antipode_F(part, p),
     )
 
@@ -220,7 +220,7 @@ def _negative_terms_M(m: MultiIndex, p: DegreeParams, rule: Rule) -> list:
 
 def _negative_terms_F(canon: CanonDiagram, p: DegreeParams) -> list:
     """The reduced-coproduct terms of a class whose trunk is divergent."""
-    reduced = fy.coproduct_reduced_F(canon.diagram, p)
+    reduced = fy._coproduct_reduced_F(canon, p)
     return [
         ((forest, trunk), coef)
         for (forest, trunk), coef in reduced.items()

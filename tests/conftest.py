@@ -2,6 +2,8 @@
 
 import sys
 
+import pytest
+
 
 def memoized_maps() -> set:
     """Every functools cache bound at the top level of a bphz module."""
@@ -12,3 +14,18 @@ def memoized_maps() -> set:
         for value in vars(module).values()
         if hasattr(value, "cache_clear")
     }
+
+
+@pytest.fixture
+def cold_memos():
+    """Every bphz memo empty when the test starts and again when it ends.
+
+    A test that patches a map under a memo requests this before
+    ``monkeypatch``, so that its patches are undone before the memos that
+    were filled from them are cleared.
+    """
+    for fn in memoized_maps():
+        fn.cache_clear()
+    yield
+    for fn in memoized_maps():
+        fn.cache_clear()

@@ -18,6 +18,8 @@ Core claims (hand-checked oracles):
       19, 50 and 204 classes
     - a class counted twice, as when it finishes at two depths of the
       generation, fails both oracles
+    - a caller that mutates a lift, or tries to mutate the memoized
+      classes it is built from, cannot change a later lift
     - orbit-stabilizer identity S_M = N * S_F on every diagram up to 6 edges
     - the lift is adjoint to the counting map on small pairs
     - the extraction square commutes for small populatable monomials,
@@ -271,13 +273,29 @@ def test_lift_of_quartic_towers_beyond_the_census():
 
 
 @pytest.mark.parametrize("text", ["z2^6", "z4^4", "z2 z3^2 z4"])
-def test_lift_oracles_fail_on_a_class_counted_twice(monkeypatch, text):
+def test_lift_oracles_fail_on_a_class_counted_twice(cold_memos, monkeypatch, text):
     """A class filed once per depth at which it finishes doubles its coefficient."""
     m = _m(text)
     generate = bridge._connected_classes
     monkeypatch.setattr(bridge, "_connected_classes", lambda arities: generate(arities)[:1] + generate(arities))
     assert not _lift_matches_census(m)
     assert not _lift_matches_count(m)
+
+
+def test_mutating_a_lift_or_its_classes_cannot_change_a_later_call():
+    m = _m("z4^4")
+    first = lift_P(m)
+    want = dict(first._terms)
+    first._terms.clear()
+    assert lift_P(m)._terms == want
+    classes = bridge._connected_classes(m.arity_list())
+    assert type(classes) is tuple and len(classes) == 3
+    with pytest.raises(TypeError):
+        classes[0] = classes[1]
+    with pytest.raises(AttributeError):
+        classes.append(classes[0])
+    assert bridge._connected_classes(m.arity_list()) is classes
+    assert lift_P(m)._terms == want
 
 
 def test_lift_forest_multiplies_components():

@@ -58,7 +58,7 @@ def test_antipode_identity_fails_on_a_perturbed_diagram_antipode(planted):
     assert not checks.antipode_identity(TRIPLE, P)
 
 
-def test_adjointness_fails_on_a_scaled_star_product(monkeypatch):
+def test_adjointness_fails_on_a_scaled_star_product(cold_memos, monkeypatch):
     rows = list(checks.adjointness_terms(P, max_edges=4))
     assert all(all(verdicts) for _, verdicts in rows)
     star = fy.simultaneous_insert_F

@@ -258,6 +258,9 @@ def test_outputs_survive_clearing_every_cache(capsys):
         "_D_power",
         "_census",
         "_connected_value",
+        "_coproduct_reduced_F",
+        "_simultaneous_insert_F",
+        "_connected_classes",
     }
     for fn in maps:
         fn.cache_clear()
@@ -393,3 +396,25 @@ def test_bad_common_option_exits_two_where_unread(capsys, argv):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pairings", "--expr", "z4^2", "--free", "-1"),
+        ("counterterms", "--trunc", "-5"),
+        ("phi4", "--trunc", "-1"),
+        ("phi4", "--max-n", "-1"),
+        ("verify", "--suite", "orbit-stabilizer", "--max-edges", "-1"),
+        ("verify", "--suite", "square", "--max-he", "-1"),
+        ("verify", "--suite", "square", "--max-verts", "-1"),
+    ],
+)
+def test_negative_count_exits_two(capsys, argv):
+    """The count and bound options take non-negative integers only."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert captured.out == ""
+    assert "error: argument {}: expected a non-negative integer".format(argv[-2]) in captured.err

@@ -35,6 +35,13 @@ Core claims (hand-checked oracles):
       2 edges into hosts with at most 3 edges equals the same construction
       at ordered, distinct cut vertices, the double edge included, where
       both ends of every host edge are cut
+    - the class memos serve relabelings: the reduced coproduct of a random
+      relabeling of every diagram with at most 5 edges equals the
+      combination of its own labeled extractions at every oracle (ell, d),
+      and inserting a forest of one or two diagrams with at most 2 edges
+      into a random relabeling of a host with at most 3 edges equals the
+      cut-graft construction on that labeling, with and without the rule;
+      a memo whose key drops the params or the rule fails both
     - edge-by-edge enumeration agrees with an independent
       multiplicity-matrix enumeration
     - is_divergent, decided on integers, follows the sign of the degree on
@@ -157,9 +164,10 @@ DIAGRAMS_5 = sorted(iter_connected_diagrams(5))
 
 
 @st.composite
-def relabeled_diagrams(draw):
-    """A connected diagram with <= 5 edges and a random relabeling of it."""
-    canon = draw(st.sampled_from(DIAGRAMS_5))
+def relabeled_diagrams(draw, pool=DIAGRAMS_5):
+    """A class of the pool (by default every connected diagram with <= 5
+    edges) and a random relabeling of its representative."""
+    canon = draw(st.sampled_from(pool))
     g = canon.diagram
     perm = draw(st.permutations(range(g.vertex_count)))
     edges = [(perm[u], perm[v]) if draw(st.booleans()) else (perm[v], perm[u]) for u, v in g.edges]
@@ -435,6 +443,36 @@ def test_block_extractions_match_mask_loop_on_lifts():
             _assert_extractions_match_oracle(canon.diagram)
 
 
+def _coproduct_matches_longhand(g: Diagram) -> bool:
+    """coproduct_reduced_F(g, p), read from the class memo, equals the
+    combination of g's own labeled extractions at every oracle setting."""
+    return all(
+        coproduct_reduced_F(g, p)
+        == LinComb(((forest, canonicalize(trunk)), 1) for forest, trunk in divergent_extractions(g, p))
+        for p in ORACLE_PARAMS
+    )
+
+
+@PROPERTY
+@given(relabeled_diagrams())
+def test_coproduct_memo_matches_longhand_on_relabelings(case):
+    _, relabeled = case
+    assert _coproduct_matches_longhand(relabeled)
+
+
+def _memo_dropping(fn, index: int):
+    """A faulty memo of fn whose key omits the argument at index."""
+    table = {}
+
+    def memo(*args):
+        key = args[:index] + args[index + 1 :]
+        if key not in table:
+            table[key] = fn(*args)
+        return table[key]
+
+    return memo
+
+
 # -- insertion ------------------------------------------------------------------------
 
 def _cut_graft_insert(bodies: list[Diagram], g2: Diagram, rule) -> LinComb:
@@ -512,6 +550,41 @@ def test_simultaneous_insert_matches_cut_graft_oracle():
                 assert simultaneous_insert_F(f, g, rule) == _cut_graft_insert(bodies, g, rule), (f, g)
                 cases += 1
     assert cases == 96
+
+
+PIECES_2 = sorted(iter_connected_diagrams(2))
+HOSTS_3 = sorted(iter_connected_diagrams(3))
+
+
+def _insert_matches_cut_graft(f: DiagForest, g: Diagram) -> bool:
+    """simultaneous_insert_F(f, g), read from the host-class memo, equals
+    the cut-graft oracle on g's own labeling, with and without the rule."""
+    bodies = [part.diagram for part in f.parts()]
+    return all(
+        simultaneous_insert_F(f, g, rule) == _cut_graft_insert(bodies, g, rule)
+        for rule in (None, RULE)
+    )
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from(PIECES_2), min_size=1, max_size=2), relabeled_diagrams(HOSTS_3))
+def test_simultaneous_insert_memo_matches_cut_graft_on_relabelings(parts, case):
+    _, relabeled = case
+    assert _insert_matches_cut_graft(DiagForest(parts), relabeled)
+
+
+def test_relabeling_oracles_fail_on_memos_that_drop_a_key(cold_memos, monkeypatch):
+    """A memo keyed without the params, or without the rule, serves the
+    first setting's value at every other one; both oracles see it."""
+    classes = [canon.diagram for canon in DIAGRAMS_5]
+    forests = [DiagForest(parts) for k in (1, 2) for parts in combinations_with_replacement(PIECES_2, k)]
+    hosts = [canon.diagram for canon in HOSTS_3]
+    assert all(_coproduct_matches_longhand(g) for g in classes)
+    assert all(_insert_matches_cut_graft(f, g) for f in forests for g in hosts)
+    monkeypatch.setattr(fy, "_coproduct_reduced_F", _memo_dropping(fy._coproduct_reduced_F, 1))
+    monkeypatch.setattr(fy, "_simultaneous_insert_F", _memo_dropping(fy._simultaneous_insert_F, 2))
+    assert not all(_coproduct_matches_longhand(g) for g in classes)
+    assert not all(_insert_matches_cut_graft(f, g) for f in forests for g in hosts)
 
 
 def test_simultaneous_insert_needs_enough_cut_sites():
