@@ -7,8 +7,9 @@ classes of those diagrams directly and weights each by S_M / |Aut Gamma|,
 the orbit-stabilizer count of the labeled pairings that form it.  The
 labeled pairing census (grouped by multiplicity matrix; the tests check it
 against labeled brute force) returns a ``collections.Counter`` of labeled
-pairings per bucket, memoized per arity tuple; it is the lift's oracle,
-feeds the moments and serves the pairing counts with free legs.  The
+pairings per bucket, memoized per arity tuple.  The unrestricted census
+feeds the moments and the orbit-stabilizer check (its one-part buckets);
+the connected one is the lift's oracle and serves `bphz pairings`.  The
 orbit-stabilizer / adjointness / commuting-square checks tie the two
 sides together.
 """
@@ -169,8 +170,9 @@ def _connected_classes(arities: tuple[int, ...]) -> tuple[CanonDiagram, ...]:
     (twice the largest count exceeds the sum).  One step can close several
     vertices, so a graph may finish at different depths: states are
     deduplicated in one set across all depths, and each finished state is
-    one class.  Memoized per arity tuple; the classes come as a tuple, so
-    the cached value cannot be mutated.
+    one class, filed from its last search (all-zero decorations make it
+    the undecorated one).  Memoized per arity tuple; the classes come as a
+    tuple, so the cached value cannot be mutated.
     """
     n = len(arities)
     start, _, residual = _canonical_search(n, (), arities)
@@ -193,7 +195,7 @@ def _connected_classes(arities: tuple[int, ...]) -> tuple[CanonDiagram, ...]:
             parts = pairings.components(n, grown)
             if len(parts) > 1 and any(not any(open_ends[w] for w in part) for part in parts):
                 continue
-            canon_edges, _, deco = _canonical_search(n, tuple(grown), tuple(open_ends))
+            canon_edges, vertex_aut, deco = _canonical_search(n, tuple(grown), tuple(open_ends))
             state = (canon_edges, deco)
             if state in seen:
                 continue
@@ -201,7 +203,7 @@ def _connected_classes(arities: tuple[int, ...]) -> tuple[CanonDiagram, ...]:
             if any(deco):
                 stack.append(state)
             else:
-                classes.append(canonicalize(Diagram._unchecked(n, canon_edges)))
+                classes.append(CanonDiagram._of_search(n, canon_edges, vertex_aut))
     return tuple(classes)
 
 
@@ -232,10 +234,11 @@ def lift_P_forest(f: MIForest) -> LinComb[DiagForest]:
 
 
 def orbit_stabilizer_check(g: Diagram) -> bool:
-    """S_M(counting_map(g)) == N(g) * S_F(g) with N from the pairing census."""
+    """S_M(counting_map(g)) == N(g) * S_F(g), with N(g) the one-part bucket
+    of the unrestricted pairing census, which the moments read too."""
     m = counting_map(g)
     canon = canonicalize(g)
-    n_count = enumerate_pairings(m, connected_only=True)[canon]
+    n_count = enumerate_pairings(m, connected_only=False)[DiagForest.of(canon)]
     return sym_factor(m) == n_count * canon.aut_order
 
 

@@ -407,7 +407,11 @@ class CanonDiagram:
 
     @classmethod
     def _of_search(cls, n: int, canon_edges: tuple[Edge, ...], vertex_aut: int) -> "CanonDiagram":
-        """The class object for a canonical edge tuple and its vertex automorphism count."""
+        """The class of a canonical edge tuple and its vertex automorphism
+        count: read from `_canon_cache`, or built and filed there once."""
+        self = _canon_cache.get((n, canon_edges))
+        if self is not None:
+            return self
         self = object.__new__(cls)
         representative = Diagram._unchecked(n, canon_edges)
         edge_perms = 1
@@ -416,6 +420,7 @@ class CanonDiagram:
         self._key = str(representative)
         self._diagram = representative
         self._aut_order = vertex_aut * edge_perms
+        _canon_cache[n, canon_edges] = self
         return self
 
     @property
@@ -455,18 +460,13 @@ def canonicalize(g: Diagram) -> CanonDiagram:
     """The class of g, read from `_canon_cache` by (vertex count, edges).
 
     A miss runs the canonical search and files the class under g's key and
-    under its representative's, so that one object stands for the class.
+    (by `CanonDiagram._of_search`) under its representative's: one object.
     """
     key = (g.vertex_count, g.edges)
     hit = _canon_cache.get(key)
     if hit is None:
-        n = g.vertex_count
-        canon_edges, vertex_aut, _ = _canonical_search(n, g.edges)
-        hit = _canon_cache.get((n, canon_edges))
-        if hit is None:
-            hit = CanonDiagram._of_search(n, canon_edges, vertex_aut)
-            _canon_cache[n, canon_edges] = hit
-        _canon_cache[key] = hit
+        canon_edges, vertex_aut, _ = _canonical_search(*key)
+        hit = _canon_cache[key] = CanonDiagram._of_search(key[0], canon_edges, vertex_aut)
     return hit
 
 

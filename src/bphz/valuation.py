@@ -4,14 +4,14 @@ A diagram evaluates either to a formal generator (one symbol per
 isomorphism class) or to an exact rational: the normalized lattice sum of
 kernel products over all vertex placements on a torus, computed by vertex
 elimination over integers.  Monomial values are pushed through the lift;
-the moment/cumulant recursion provides an independent route to the same
-numbers.  On top of these sit the coupling series, the counterterms, and
-the end-to-end quartic example report.
+the moments of the pairing census, cut to cumulants by a recursion over
+sub-monomials, give an independent route to the same numbers.  On top of
+these sit the coupling series, the counterterms, and the quartic report.
 
 Two ``functools`` caches memoize the numeric values: `_lattice_sum` per
-(canonical class, kernel) and `_connected_value`, the moment recursion,
-per (monomial, kernel).  The pairing census behind the moments is
-memoized in `bphz.bridge`.
+(canonical class, kernel) and `_connected_value` per (monomial, kernel).
+The unrestricted pairing census behind the moments is memoized in
+`bphz.bridge`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import factorial, lcm
+from math import comb, factorial, lcm, prod
 from operator import mul
 from typing import Iterable, Mapping
 
@@ -253,43 +253,38 @@ def moment_oracle(m: MultiIndex, kernel: KernelSpec) -> Scalar:
     return as_scalar(sum(count * value_F_numeric(forest, kernel) for forest, count in outcome.items()))
 
 
-def _set_partitions(items: tuple) -> list[list[tuple]]:
-    """All partitions of a labeled tuple into nonempty blocks."""
-    if not items:
-        return [[]]
-    first, rest = items[0], items[1:]
-    out = []
-    for partition in _set_partitions(rest):
-        for i in range(len(partition)):
-            out.append(partition[:i] + [(first,) + partition[i]] + partition[i + 1 :])
-        out.append([(first,)] + partition)
-    return out
-
-
 @cache
 def _connected_value(m: MultiIndex, kernel: KernelSpec) -> Scalar:
-    """The moment of m minus every properly split contribution."""
-    arities = m.arity_list()
+    """kappa(m) = mu(m) - sum of w(B) kappa(B) mu(m - B), mu = `moment_oracle`.
+
+    B runs over the sub-monomials of m other than m holding a vertex of
+    the least arity a0, the block of one fixed such vertex; w(B) =
+    prod_k C(beta_k - [k=a0], beta_B(k) - [k=a0]) counts its labelings
+    (Speed, Cumulants and partition lattices, 1983).  That is at most
+    prod_k (beta_k + 1) terms against Bell(|m|) set partitions; mu is
+    skipped where kappa(B) = 0.
+    """
+    beta = m.beta()
+    first = min(beta)
     total = moment_oracle(m, kernel)
-    for partition in _set_partitions(tuple(range(len(arities)))):
-        if len(partition) < 2:
+    for counts in product(*(range(k == first, b + 1) for k, b in beta.items())):
+        block = MultiIndex(zip(beta, counts))
+        if block == m:
             continue
-        w = 1
-        for block in partition:
-            w *= _connected_value(MultiIndex(Counter(arities[i] for i in block)), kernel)
-            if not w:
-                break
-        total -= w
+        kappa = _connected_value(block, kernel)
+        if kappa:
+            w = prod(comb(b - (k == first), c - (k == first)) for (k, b), c in zip(beta.items(), counts))
+            total -= w * kappa * moment_oracle(m.minus(block), kernel)
     return as_scalar(total)
 
 
 def value_M_recursive(m: MultiIndex, kernel: KernelSpec) -> Scalar:
     """Connected value by the moment recursion, independent of the lift.
 
-    The moment of a monomial splits over set partitions of its vertices
-    into products of connected values, so the connected value is the
-    moment minus every properly split contribution.  Connected values are
-    memoized per (monomial, kernel) by `_connected_value`.
+    The moment sums the products of blocks' connected values over the set
+    partitions of the vertices; grouped by the block of one least-arity
+    vertex, that is `_connected_value`'s recursion over sub-monomials, at
+    most prod_k (beta_k + 1) terms, memoized per (monomial, kernel).
     """
     if 0 in m.arity_list():
         raise ValueError("arity-0 vertices have no connected value")

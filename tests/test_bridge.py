@@ -6,6 +6,10 @@ Core claims (hand-checked oracles):
       doubled triangles, z1^4 splits into 3 disconnected two-edge forests
     - the census grouped by multiplicity matrix equals the census taken
       one labeled matching at a time, class by class
+    - the connected census is the one-part buckets of the unrestricted
+      census, in values and order, on all 245 arity tuples with at most
+      12 half-edges and 7 vertices; the orbit-stabilizer and valuation
+      suites of `bphz verify` build one census per arity tuple, 110 in all
     - lift goldens: P(z3^2)=6, P(z2^2)=2, P(z2 z4^2)=192, the three
       iso-classes of P(z4^4); anything containing an isolatable z0 lifts
       to zero
@@ -18,6 +22,8 @@ Core claims (hand-checked oracles):
       19, 50 and 204 classes
     - a class counted twice, as when it finishes at two depths of the
       generation, fails both oracles
+    - a cold lift of z4^6 (z4^7) runs 255 (1,020) canonical searches, one
+      per generated state, and files each class in the one class table
     - a caller that mutates a lift, or tries to mutate the memoized
       classes it is built from, cannot change a later lift
     - orbit-stabilizer identity S_M = N * S_F on every diagram up to 6 edges
@@ -34,7 +40,7 @@ from math import factorial
 
 import pytest
 
-from bphz import bridge
+from bphz import bridge, checks, feynman as fy
 from bphz.bridge import (
     _census_key,
     adjoint_phi_P_check,
@@ -152,6 +158,27 @@ def test_census_matches_one_matching_at_a_time():
                 assert got == want, (str(m), connected_only, free_legs)
                 cases += 1
     assert cases == 472
+
+
+def test_connected_census_is_the_one_part_buckets_of_the_unrestricted_census():
+    # orbit_stabilizer_check reads N(g) from the unrestricted census: with
+    # every arity >= 1, a one-part forest is exactly a connected pairing.
+    tuples = populated = 0
+    for m in iter_monomials_within(12, 7):
+        unrestricted = enumerate_pairings(m, connected_only=False)
+        one_part = [(forest.parts()[0], n) for forest, n in unrestricted.items() if len(forest) == 1]
+        assert list(enumerate_pairings(m, connected_only=True).items()) == one_part, str(m)
+        tuples += 1
+        populated += bool(one_part)
+    assert (tuples, populated) == (245, 88)
+
+
+def test_orbit_stabilizer_and_valuation_share_one_census_per_arity_tuple(cold_memos):
+    # The orbit-stabilizer monomials are among the valuation suite's, so
+    # its censuses are the moments'; the connected census is never built.
+    for name in ("orbit-stabilizer", "valuation"):
+        assert all(ok for _, ok in checks.SUITES[name](P, RULE, checks.Bounds())), name
+    assert bridge._census.cache_info().currsize == 110
 
 
 # -- the lift ----------------------------------------------------------------------
@@ -280,6 +307,22 @@ def test_lift_oracles_fail_on_a_class_counted_twice(cold_memos, monkeypatch, tex
     monkeypatch.setattr(bridge, "_connected_classes", lambda arities: generate(arities)[:1] + generate(arities))
     assert not _lift_matches_census(m)
     assert not _lift_matches_count(m)
+
+
+def test_a_cold_lift_files_each_class_from_the_search_that_finished_it(cold_memos, monkeypatch):
+    # A fresh class table, so no class of the lifts below is known yet.
+    monkeypatch.setattr(fy, "_canon_cache", {})
+    searches = []
+    search = fy._canonical_search
+    counting = lambda *args: searches.append(args) or search(*args)
+    monkeypatch.setattr(fy, "_canonical_search", counting)
+    monkeypatch.setattr(bridge, "_canonical_search", counting)
+    for n, count in ((6, 255), (7, 1020)):
+        searches.clear()
+        lifted = lift_P(MultiIndex.single(4, n))
+        assert len(searches) == count, n
+        assert all(canonicalize(canon.diagram) is canon for canon in lifted.keys()), n
+        assert len(searches) == count, n
 
 
 def test_mutating_a_lift_or_its_classes_cannot_change_a_later_call():

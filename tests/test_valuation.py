@@ -6,8 +6,12 @@ Core claims (hand-checked oracles):
       equal the exact placement loop over kernel.at; vertex elimination
       sums a 12-vertex path to its closed form and refuses a dense
       diagram by its work estimate before building a table
-    - monomial values pass through the lift; the recursive variant
-      (moments minus proper partitions) agrees with it
+    - monomial values pass through the lift; the recursive variant (the
+      first-vertex block recursion over sub-monomials) agrees with it and
+      equals the moments minus every split set partition on all 88
+      populatable monomials of `bphz verify --suite valuation`, at d=1
+      and d=2; with w(B) = 1, or with blocks not holding an a0 vertex,
+      it does not
     - the Wick moment equals the brute-force pairing sum
     - cumulant series of a quartic coupling: alpha^2/2 on z4^2 and
       -alpha^3/6 on z4^3; under rules {2,4} and {1,3,4} at 12, 16 and 32
@@ -19,8 +23,11 @@ Core claims (hand-checked oracles):
       stable for any truncation >= 12 half-edges
 """
 
+from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -203,9 +210,85 @@ def test_recursive_value_agrees_with_lift():
     k = sample_kernel(d=1, N=4)
     for text in ("z3^2", "z2^2", "z4^2", "z2^3", "z2 z3^2", "z2^2 z4"):
         m = _m(text)
-        assert value_M_recursive(m, k) == pytest.approx(
-            value_M(m, k), rel=1e-9
-        ), text
+        assert value_M_recursive(m, k) == value_M(m, k), text
+
+
+def _set_partitions(items: tuple) -> list[list[tuple]]:
+    """All partitions of a labeled tuple into nonempty blocks."""
+    if not items:
+        return [[]]
+    first, rest = items[0], items[1:]
+    out = []
+    for partition in _set_partitions(rest):
+        for i in range(len(partition)):
+            out.append(partition[:i] + [(first,) + partition[i]] + partition[i + 1 :])
+        out.append([(first,)] + partition)
+    return out
+
+
+def _connected_by_set_partitions(m: MultiIndex, kernel: KernelSpec, memo: dict):
+    """The moment of m minus the block products of every split set partition
+    of its labeled vertices (the oracle, Bell(|m|) partitions)."""
+    if m not in memo:
+        arities = m.arity_list()
+        total = moment_oracle(m, kernel)
+        for partition in _set_partitions(tuple(range(len(arities)))):
+            if len(partition) > 1:
+                w = 1
+                for block in partition:
+                    sub = MultiIndex(Counter(arities[i] for i in block))
+                    w *= _connected_by_set_partitions(sub, kernel, memo)
+                total -= w
+        memo[m] = total
+    return memo[m]
+
+
+ORACLE_KERNELS = (sample_kernel(), sample_kernel(d=2, N=3))
+
+
+def _recursion_matches_set_partitions() -> bool:
+    """value_M_recursive equals the set-partition oracle on every populatable
+    monomial `bphz verify --suite valuation` checks, at both kernels."""
+    for kernel in ORACLE_KERNELS:
+        memo: dict = {}
+        for m in filter(is_populatable, iter_monomials_within(12, 12)):
+            if value_M_recursive(m, kernel) != _connected_by_set_partitions(m, kernel, memo):
+                return False
+    return True
+
+
+def test_recursive_value_equals_the_set_partition_recursion():
+    assert sum(is_populatable(m) for m in iter_monomials_within(12, 12)) == 88
+    assert _recursion_matches_set_partitions()
+
+
+def _planted_block_recursion(fault: str):
+    """The first-vertex block recursion with one fault: every w(B) = 1, or B
+    not required to hold an a0 vertex (w(B) then counts all its labelings)."""
+
+    @cache
+    def kappa(m: MultiIndex, kernel: KernelSpec):
+        beta = m.beta()
+        first = None if fault == "B_need_not_hold_a0" else min(beta)
+        total = moment_oracle(m, kernel)
+        for counts in product(*(range(k == first, b + 1) for k, b in beta.items())):
+            block = MultiIndex(zip(beta, counts))
+            if block == m or block.is_empty():
+                continue
+            w = 1
+            if fault != "w_is_one":
+                for (k, b), c in zip(beta.items(), counts):
+                    w *= comb(b - (k == first), c - (k == first))
+            total -= w * kappa(block, kernel) * moment_oracle(m.minus(block), kernel)
+        return total
+
+    return kappa
+
+
+@pytest.mark.parametrize("fault", ["w_is_one", "B_need_not_hold_a0"])
+def test_set_partition_oracle_fails_on_a_planted_block_recursion(monkeypatch, fault):
+    monkeypatch.setattr(valuation, "_connected_value", _planted_block_recursion(fault))
+    assert not _recursion_matches_set_partitions()
 
 
 def test_recursive_value_rejects_arity_zero():
